@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -13,6 +14,8 @@
 #include "hash/cuckoo_table.h"
 #include "hash/hash.h"
 #include "hash/lru_shift_register.h"
+#include "mem/mmu.h"
+#include "mem/physical_memory.h"
 #include "operators/batch.h"
 #include "operators/pipeline.h"
 #include "regex/regex.h"
@@ -67,6 +70,60 @@ void BM_RegexSearch(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RegexSearch)->Arg(64)->Arg(1024);
+
+// Regex selection over CHAR(64) fields shaped like the regex workloads:
+// TableGenerator::Strings rows, 25% holding the needle "farview", the rest
+// random lowercase without the needle's first byte. Arg 1 searches for
+// "farview" (one byte leaves the start state: the memchr skip); arg 2 for
+// "[fg]arview" (two bytes: the plain table loop). Reports rows/s.
+void BM_RegexStringsField(benchmark::State& state) {
+  constexpr uint64_t kRows = 4096;
+  constexpr uint32_t kWidth = 64;
+  TableGenerator gen(7);
+  Result<Table> table = gen.Strings(kRows, kWidth, "farview", 0.25);
+  Result<Regex> re =
+      Regex::Compile(state.range(0) == 1 ? "farview" : "[fg]arview");
+  if (!table.ok() || !re.ok()) return;
+  const Table& t = table.value();
+  for (auto _ : state) {
+    uint64_t hits = 0;
+    for (uint64_t r = 0; r < kRows; ++r) {
+      const std::string_view field(
+          reinterpret_cast<const char*>(t.Row(r).ColumnData(0)), kWidth);
+      hits += re.value().Search(field) ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kRows));
+}
+BENCHMARK(BM_RegexStringsField)->Arg(1)->Arg(2);
+
+// One 1 MiB Mmu::ReadInto (a scan's materialization) followed by a read of
+// the copy, as the region's stream parser does — the access pattern that
+// decides between cached and non-temporal copy stores.
+void BM_MmuReadInto(benchmark::State& state) {
+  constexpr uint64_t kSpan = 1ull << 20;
+  PhysicalMemory phys(4 * Mmu::kPageSize, Mmu::kPageSize);
+  Mmu mmu(&phys);
+  Result<uint64_t> vaddr = mmu.Alloc(0, kSpan);
+  if (!vaddr.ok()) return;
+  std::vector<uint8_t> src(kSpan);
+  for (uint64_t i = 0; i < kSpan; ++i) src[i] = static_cast<uint8_t>(i * 131);
+  if (!mmu.Write(0, vaddr.value(), kSpan, src.data()).ok()) return;
+  ByteBuffer out;
+  out.reserve(kSpan);
+  for (auto _ : state) {
+    out.clear();
+    if (!mmu.ReadInto(0, vaddr.value(), kSpan, &out).ok()) return;
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    uint64_t sum = 0;
+    for (uint64_t i = 0; i < kSpan; i += 8) sum += LoadLE64(out.data() + i);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kSpan));
+}
+BENCHMARK(BM_MmuReadInto);
 
 void BM_CuckooUpsert(benchmark::State& state) {
   CuckooTable table(4, 1 << 16, 8, 8);

@@ -11,20 +11,36 @@
 # (google-benchmark, host-timing output) and perf_simcore (wall-clock
 # harness; machine-dependent by design).
 #
-# Usage: check_bench_identity.sh <build_dir> [golden_dir]
+# Usage: check_bench_identity.sh <build_dir> [golden_dir] [name]
+#   With `name` (e.g. fig10_regex) only that driver is checked against
+#   <golden_dir>/<name>.txt; without it, every golden in golden_dir is.
 # Exit: 0 when every output matches, 1 otherwise.
 
 set -u
 
-build_dir="${1:?usage: check_bench_identity.sh <build_dir> [golden_dir]}"
+usage="usage: check_bench_identity.sh <build_dir> [golden_dir] [name]"
+build_dir="${1:?$usage}"
 golden_dir="${2:-$(dirname "$0")/../tests/goldens/bench}"
+only="${3:-}"
+
+if [ -n "$only" ]; then
+  [ -e "$golden_dir/$only.txt" ] || {
+    echo "no golden $golden_dir/$only.txt" >&2
+    exit 1
+  }
+  goldens="$golden_dir/$only.txt"
+else
+  goldens="$golden_dir/*.txt"
+fi
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 fail=0
 ran=0
-for golden in "$golden_dir"/*.txt; do
+# $goldens is a path or a glob; it is left unquoted so the glob expands
+# (golden names carry no spaces).
+for golden in $goldens; do
   [ -e "$golden" ] || { echo "no goldens in $golden_dir" >&2; exit 1; }
   name="$(basename "$golden" .txt)"
   bin="$build_dir/bench/$name"

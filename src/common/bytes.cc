@@ -1,61 +1,8 @@
 #include "common/bytes.h"
 
 #include <cstdio>
-#include <cstring>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#include <emmintrin.h>
-#endif
 
 namespace farview {
-
-namespace {
-
-/// Below this size the copy fits comfortably in the private caches and a
-/// plain memcpy is both faster and harmless; above it, cache eviction costs
-/// more than the copy itself (the private L2 is a few MiB).
-constexpr std::size_t kStreamCopyThreshold = 256 * 1024;
-
-}  // namespace
-
-void StreamCopy(uint8_t* dst, const uint8_t* src, std::size_t n) {
-#if defined(__x86_64__) || defined(_M_X64)
-  if (n >= kStreamCopyThreshold) {
-    // Align the destination so the streaming stores hit full lines.
-    const std::size_t head =
-        (16 - (reinterpret_cast<std::uintptr_t>(dst) & 15)) & 15;
-    if (head != 0) {
-      std::memcpy(dst, src, head);
-      dst += head;
-      src += head;
-      n -= head;
-    }
-    std::size_t lines = n / 64;
-    while (lines-- > 0) {
-      const __m128i a =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
-      const __m128i b =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + 16));
-      const __m128i c =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + 32));
-      const __m128i d =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + 48));
-      _mm_stream_si128(reinterpret_cast<__m128i*>(dst), a);
-      _mm_stream_si128(reinterpret_cast<__m128i*>(dst + 16), b);
-      _mm_stream_si128(reinterpret_cast<__m128i*>(dst + 32), c);
-      _mm_stream_si128(reinterpret_cast<__m128i*>(dst + 48), d);
-      src += 64;
-      dst += 64;
-    }
-    // Streaming stores are weakly ordered; fence before anything observes
-    // the buffer. (The simulator is single-threaded, but the fence also
-    // drains the write-combining buffers so the tail memcpy lands cleanly.)
-    _mm_sfence();
-    n &= 63;
-  }
-#endif
-  if (n != 0) std::memcpy(dst, src, n);
-}
 
 std::string FormatBytes(uint64_t bytes) {
   char buf[32];

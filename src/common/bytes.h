@@ -236,14 +236,6 @@ class PooledAllocator {
 /// growth is required (see PooledByteAllocator::construct).
 using ByteBuffer = std::vector<uint8_t, PooledByteAllocator>;
 
-/// Copies `n` bytes like memcpy, but for large blocks uses non-temporal
-/// stores so a multi-MiB payload copy does not evict the simulator's
-/// working set (event buckets, flow tables, hash state) from the private
-/// caches. The simulated workloads stream payloads that are written once
-/// and consumed far later (or never, for discarded results), so keeping
-/// them out of L1/L2 is pure win for the event core (DESIGN.md §8).
-void StreamCopy(uint8_t* dst, const uint8_t* src, std::size_t n);
-
 /// Reads a little-endian 64-bit unsigned integer at `p`.
 inline uint64_t LoadLE64(const uint8_t* p) {
   uint64_t v;

@@ -21,7 +21,8 @@ CuckooTable::CuckooTable(int num_ways, uint64_t slots_per_way,
       key_width_(key_width),
       payload_width_(payload_width),
       slot_mask_(slots_per_way - 1) {
-  FV_CHECK(num_ways_ >= 1);
+  FV_CHECK(num_ways_ >= 1 && num_ways_ <= kMaxWays)
+      << "num_ways must be in [1, " << kMaxWays << "], got " << num_ways_;
   FV_CHECK(IsPowerOfTwo(slots_per_way_))
       << "slots_per_way must be a power of two, got " << slots_per_way_;
   FV_CHECK(key_width_ > 0);
@@ -49,9 +50,10 @@ bool CuckooTable::KeyEquals(const uint8_t* a, const uint8_t* b) const {
   return KeyEqual(a, b, key_width_);
 }
 
-uint8_t* CuckooTable::Lookup(const uint8_t* key) {
+uint8_t* CuckooTable::Probe(const uint8_t* key, uint64_t* slots) {
   for (int w = 0; w < num_ways_; ++w) {
     const uint64_t idx = SlotIndex(w, HashWay(key, w));
+    slots[w] = idx;
     if (occupied_[idx] && KeyEquals(SlotKey(idx), key)) {
       return SlotPayload(idx);
     }
@@ -65,13 +67,22 @@ uint8_t* CuckooTable::Lookup(const uint8_t* key) {
   return nullptr;
 }
 
+uint8_t* CuckooTable::Lookup(const uint8_t* key) {
+  uint64_t slots[kMaxWays];
+  return Probe(key, slots);
+}
+
 const uint8_t* CuckooTable::Lookup(const uint8_t* key) const {
   return const_cast<CuckooTable*>(this)->Lookup(key);
 }
 
 CuckooTable::UpsertResult CuckooTable::Upsert(const uint8_t* key,
                                               uint8_t** payload_out) {
-  if (uint8_t* p = Lookup(key)) {
+  // A miss leaves the key's slot in every way in `slots`: each way is
+  // hashed once, and the first placement attempt (pending entry == key,
+  // starting at way 0) reuses them.
+  uint64_t slots[kMaxWays];
+  if (uint8_t* p = Probe(key, slots)) {
     if (payload_out) *payload_out = p;
     return UpsertResult::kFound;
   }
@@ -87,8 +98,7 @@ CuckooTable::UpsertResult CuckooTable::Upsert(const uint8_t* key,
     // Try all ways for a free slot for the pending key.
     for (int w = 0; w < num_ways_; ++w) {
       const int try_way = (way + w) % num_ways_;
-      const uint64_t idx = SlotIndex(try_way, HashWay(pending_key_.data(),
-                                                      try_way));
+      const uint64_t idx = PendingSlot(kick, slots, try_way);
       if (!occupied_[idx]) {
         occupied_[idx] = true;
         std::memcpy(SlotKey(idx), pending_key_.data(), key_width_);
@@ -96,10 +106,9 @@ CuckooTable::UpsertResult CuckooTable::Upsert(const uint8_t* key,
                     PayloadStride());
         ++size_;
         if (payload_out) {
-          // The original key is resident now (it may have been placed
-          // directly, or the displaced chain ended elsewhere) — return its
-          // payload location.
-          *payload_out = Lookup(key);
+          // The original key is resident now: placed directly in `idx`, or
+          // somewhere along the displaced chain — return its payload.
+          *payload_out = kick == 0 ? SlotPayload(idx) : Lookup(key);
           FV_CHECK(*payload_out != nullptr);
         }
         return UpsertResult::kInserted;
@@ -110,7 +119,7 @@ CuckooTable::UpsertResult CuckooTable::Upsert(const uint8_t* key,
     // slot in `way`, take its place, and continue with the evictee in the
     // next way (Section 5.4: "upon the eviction from one of the tables, the
     // evicted entry is inserted into the next hash table").
-    const uint64_t idx = SlotIndex(way, HashWay(pending_key_.data(), way));
+    const uint64_t idx = PendingSlot(kick, slots, way);
     evicted_key_.assign(SlotKey(idx), SlotKey(idx) + key_width_);
     evicted_payload_.assign(SlotPayload(idx),
                             SlotPayload(idx) + PayloadStride());

@@ -33,6 +33,10 @@ class CuckooTable {
     kOverflow,   ///< kick chain exhausted; entry stored in overflow buffer
   };
 
+  /// Upper bound on `num_ways` (the hardware instantiates a handful of
+  /// hash circuits; per-key slot indices live on the stack).
+  static constexpr int kMaxWays = 16;
+
   /// `slots_per_way` must be a power of two. Total capacity is
   /// `num_ways * slots_per_way` entries.
   CuckooTable(int num_ways, uint64_t slots_per_way, uint32_t key_width,
@@ -61,7 +65,8 @@ class CuckooTable {
         }
       }
     }
-    for (size_t i = 0; i < overflow_keys_.size(); ++i) {
+    const uint64_t overflow = overflow_size();
+    for (uint64_t i = 0; i < overflow; ++i) {
       fn(overflow_keys_.data() + i * key_width_,
          overflow_payloads_.data() + i * PayloadStride());
     }
@@ -94,6 +99,17 @@ class CuckooTable {
 
  private:
   uint64_t HashWay(const uint8_t* key, int way) const;
+  /// Finds `key` (ways first, then overflow) and returns its payload or
+  /// nullptr. Records the key's slot in each way it hashed into `slots`;
+  /// on a miss that is every way. Shared by Lookup and Upsert.
+  uint8_t* Probe(const uint8_t* key, uint64_t* slots);
+  /// Slot of the pending entry in `way` during a kick chain. On the first
+  /// pass (`kick == 0`) the pending entry is the upserted key, whose slots
+  /// the miss probe already recorded in `key_slots`.
+  uint64_t PendingSlot(int kick, const uint64_t* key_slots, int way) const {
+    return kick == 0 ? key_slots[way]
+                     : SlotIndex(way, HashWay(pending_key_.data(), way));
+  }
   uint64_t SlotIndex(int way, uint64_t slot) const {
     return static_cast<uint64_t>(way) * slots_per_way_ + slot;
   }

@@ -1,6 +1,7 @@
 #include "mem/mmu.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/bytes.h"
 #include "common/logging.h"
@@ -114,9 +115,15 @@ Status Mmu::Read(int client, uint64_t vaddr, uint64_t len,
 Status Mmu::ReadInto(int client, uint64_t vaddr, uint64_t len,
                      ByteBuffer* out) const {
   // ByteBuffer growth default-initializes (PooledByteAllocator), so this
-  // resize reserves space without a zeroing pass; StreamCopy then writes
-  // each page span once, with non-temporal stores for large spans so the
-  // payload does not evict the event core's working set.
+  // resize reserves space without a zeroing pass; memcpy then writes each
+  // page span once. Plain cached stores on purpose: the payload is read
+  // back soon after (a region's stream parser consumes the materialized
+  // scan burst by burst; clients read their read results). Writing it
+  // around the caches only to fetch it back from DRAM more than doubled the
+  // cost: one 1 MiB ReadInto plus a read of the copy (micro_primitives
+  // BM_MmuReadInto) took 220-300 us with non-temporal stores and 60-130 us
+  // with memcpy across runs on a 4-vCPU x86 VM with 8 MiB L2 and 300 MiB L3
+  // (DESIGN.md §8).
   const std::size_t old_size = out->size();
   out->resize(old_size + len);
   uint8_t* dst = out->data() + old_size;
@@ -128,7 +135,7 @@ Status Mmu::ReadInto(int client, uint64_t vaddr, uint64_t len,
         kPageSize - ((vaddr + done) % kPageSize);
     const uint64_t n = std::min(len - done, page_remaining);
     FV_ASSIGN_OR_RETURN(const uint8_t* src, phys_->Span(paddr, n));
-    StreamCopy(dst + done, src, n);
+    std::memcpy(dst + done, src, n);
     done += n;
   }
   return Status::OK();

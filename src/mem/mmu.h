@@ -58,11 +58,11 @@ class Mmu {
   Status Read(int client, uint64_t vaddr, uint64_t len, uint8_t* out) const;
 
   /// Like Read, but appends to `*out` instead of writing through a raw
-  /// pointer. The append is a single streaming-copy pass per page span — no
+  /// pointer. The append is a single memcpy pass per page span — no
   /// value-initializing resize of the destination first — which keeps the
-  /// per-request materialization cost at one pass over the payload and, for
-  /// large spans, out of the private caches (DESIGN.md §8). On error the
-  /// appended region is indeterminate; callers must discard `*out`.
+  /// per-request materialization cost at one pass over the payload
+  /// (DESIGN.md §8). On error the appended region is indeterminate;
+  /// callers must discard `*out`.
   Status ReadInto(int client, uint64_t vaddr, uint64_t len,
                   ByteBuffer* out) const;
 

@@ -234,7 +234,6 @@ GroupByOp::GroupByOp(const Schema& input, std::vector<int> key_columns,
   table_ = std::make_unique<CuckooTable>(
       config_.cuckoo_ways, config_.slots_per_way, key_width_,
       static_cast<uint32_t>(aggs_.size()) * internal::kAggStateBytes);
-  lru_ = std::make_unique<LruShiftRegister>(config_.lru_depth, key_width_);
   // fvcheck:allow=hot-path-alloc pooled ByteBuffer scratch
   key_scratch_.resize(key_width_);
 }
@@ -248,10 +247,8 @@ Result<Batch> GroupByOp::Process(Batch in) {
   for (uint64_t r = 0; r < in.num_rows; ++r) {
     const TupleView row = in.Row(r);
     ExtractKey(row, key);
-    // The LRU is write-through here (Section 5.4): it only tells us whether
-    // the key is certainly present; the payload update always goes to the
-    // table.
-    lru_->Touch(key);
+    // Every row updates its group's payload in the table, so the hazard
+    // LRU that lets DISTINCT drop repeats early has nothing to decide here.
     uint8_t* payload = nullptr;
     const CuckooTable::UpsertResult res = table_->Upsert(key, &payload);
     if (res != CuckooTable::UpsertResult::kFound) {
@@ -286,7 +283,6 @@ Result<Batch> GroupByOp::Flush() {
 void GroupByOp::Reset() {
   stats_.Clear();
   table_->Clear();
-  lru_->Clear();
   group_queue_.clear();
 }
 

@@ -82,8 +82,8 @@ class DistinctOp : public Operator {
   ByteBuffer key_scratch_;
 };
 
-/// GROUP BY + aggregation operator (Section 5.4): identical hash machinery
-/// to DISTINCT but *blocking* — "the operator reads the complete table and
+/// GROUP BY + aggregation operator (Section 5.4): the same cuckoo tables as
+/// DISTINCT but *blocking* — "the operator reads the complete table and
 /// all of its tuples without sending anything over the network"; the flush
 /// phase walks the insertion-order queue and emits one row per group (key
 /// columns followed by the aggregates).
@@ -119,7 +119,6 @@ class GroupByOp : public Operator {
   uint32_t key_width_;
   GroupingConfig config_;
   std::unique_ptr<CuckooTable> table_;
-  std::unique_ptr<LruShiftRegister> lru_;
   /// The paper's "separate queue" of distinct keys, in first-insertion
   /// order, used to flush the hash table deterministically.
   ByteBuffer group_queue_;

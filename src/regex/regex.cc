@@ -1,5 +1,6 @@
 #include "regex/regex.h"
 
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -323,19 +324,6 @@ std::vector<int> EpsilonClosure(const Nfa& nfa, std::vector<int> states) {
 
 }  // namespace
 
-bool Regex::Run(const std::vector<DfaState>& dfa, std::string_view text,
-                bool early_accept) {
-  int state = 0;
-  if (dfa[0].accept && early_accept) return true;
-  for (const char ch : text) {
-    state = dfa[static_cast<size_t>(state)]
-                .next[static_cast<unsigned char>(ch)];
-    if (state == kDead) return false;
-    if (early_accept && dfa[static_cast<size_t>(state)].accept) return true;
-  }
-  return dfa[static_cast<size_t>(state)].accept;
-}
-
 Result<Regex> Regex::Compile(const std::string& pattern) {
   Nfa nfa;
   Parser parser(pattern, &nfa);
@@ -348,34 +336,32 @@ Result<Regex> Regex::Compile(const std::string& pattern) {
   // Builds a DFA. When `search` is true the NFA start set permanently
   // includes the start state (the implicit ".*" prefix): every byte may
   // begin a new match attempt.
-  auto build = [&nfa](bool search) -> Result<std::vector<DfaState>> {
-    std::vector<DfaState> dfa;
+  auto build = [&nfa](bool search) -> Result<Dfa> {
+    Dfa dfa;
     std::map<std::vector<int>, int> index;
     std::vector<std::vector<int>> sets;
 
     auto intern = [&](std::vector<int> closure) -> int {
       auto it = index.find(closure);
       if (it != index.end()) return it->second;
-      const int id = static_cast<int>(dfa.size());
-      dfa.push_back(DfaState{});
-      for (int s : closure) {
-        if (s == nfa.accept) dfa[static_cast<size_t>(id)].accept = true;
-      }
+      const int id = dfa.num_states++;
+      dfa.next.resize(dfa.next.size() + 256, kDead);
+      bool accept = false;
+      for (int s : closure) accept |= s == nfa.accept;
+      dfa.accept.push_back(accept ? 1 : 0);
       index.emplace(closure, id);
       sets.push_back(std::move(closure));
       return id;
     };
 
-    const int start =
-        intern(EpsilonClosure(nfa, {nfa.start}));
-    (void)start;
+    intern(EpsilonClosure(nfa, {nfa.start}));
 
-    for (size_t cur = 0; cur < dfa.size(); ++cur) {
-      if (dfa.size() > kMaxDfaStates) {
+    for (int cur = 0; cur < dfa.num_states; ++cur) {
+      if (static_cast<size_t>(dfa.num_states) > kMaxDfaStates) {
         return Status::OutOfRange("DFA exceeds state budget");
       }
       // Group target NFA states per input byte.
-      const std::vector<int> set = sets[cur];
+      const std::vector<int> set = sets[static_cast<size_t>(cur)];
       for (int byte = 0; byte < 256; ++byte) {
         std::vector<int> next;
         for (int s : set) {
@@ -386,8 +372,9 @@ Result<Regex> Regex::Compile(const std::string& pattern) {
         }
         if (search) next.push_back(nfa.start);
         if (next.empty()) continue;
-        std::vector<int> closure = EpsilonClosure(nfa, std::move(next));
-        dfa[cur].next[static_cast<size_t>(byte)] = intern(std::move(closure));
+        const int32_t target = intern(EpsilonClosure(nfa, std::move(next)));
+        dfa.next[static_cast<size_t>(cur) * 256 + static_cast<size_t>(byte)] =
+            target;
       }
     }
     return dfa;
@@ -397,15 +384,61 @@ Result<Regex> Regex::Compile(const std::string& pattern) {
   re.pattern_ = pattern;
   FV_ASSIGN_OR_RETURN(re.search_dfa_, build(/*search=*/true));
   FV_ASSIGN_OR_RETURN(re.full_dfa_, build(/*search=*/false));
+
+  // Search stops at the first accepting state, so the search table only
+  // needs to say "accepts" — one load and one sign test per byte. Every
+  // search state has a transition on every byte (the start set is always
+  // re-entered), so kDead never occurs here.
+  int leaving = 0;
+  for (size_t i = 0; i < re.search_dfa_.next.size(); ++i) {
+    int32_t& t = re.search_dfa_.next[i];
+    if (i < 256 && t != 0) {
+      ++leaving;
+      re.skip_byte_ = static_cast<int>(i);
+    }
+    if (re.search_dfa_.accept[static_cast<size_t>(t)]) t = kMatch;
+  }
+  if (leaving != 1) re.skip_byte_ = kNoSkip;
   return re;
 }
 
 bool Regex::Search(std::string_view text) const {
-  return Run(search_dfa_, text, /*early_accept=*/true);
+  if (search_dfa_.accept[0]) return true;  // matches the empty string
+  const int32_t* next = search_dfa_.next.data();
+  const auto* p = reinterpret_cast<const unsigned char*>(text.data());
+  const auto* const end = p + text.size();
+  if (skip_byte_ == kNoSkip) {
+    int32_t state = 0;
+    for (; p != end; ++p) {
+      state = next[state * 256 + *p];
+      if (state < 0) return true;
+    }
+    return false;
+  }
+  // Start-state skip: in state 0 only `skip_byte_` changes the state, so
+  // jump to its next occurrence, then step the table until the automaton
+  // either accepts or falls back to the start state.
+  while (p != end) {
+    p = static_cast<const unsigned char*>(
+        std::memchr(p, skip_byte_, static_cast<size_t>(end - p)));
+    if (p == nullptr) return false;
+    int32_t state = 0;
+    do {
+      state = next[state * 256 + *p++];
+    } while (state > 0 && p != end);
+    if (state < 0) return true;
+  }
+  return false;
 }
 
 bool Regex::FullMatch(std::string_view text) const {
-  return Run(full_dfa_, text, /*early_accept=*/false);
+  const int32_t* next = full_dfa_.next.data();
+  int32_t state = 0;
+  for (const char ch : text) {
+    state = next[state * 256 + static_cast<unsigned char>(ch)];
+    if (state == kDead) return false;
+  }
+  return full_dfa_.accept[static_cast<size_t>(state)] != 0;
 }
 
 }  // namespace farview

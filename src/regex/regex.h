@@ -40,7 +40,8 @@ class Regex {
   /// Unanchored search: true when any substring of `text` matches. This is
   /// the semantics of the Farview regex *selection* operator (emit the tuple
   /// when the string field matches). Scans at most one DFA step per byte and
-  /// exits early on the first hit.
+  /// exits early on the first hit; runs of bytes that keep the automaton in
+  /// its start state may be skipped wholesale (host-side speed only).
   bool Search(std::string_view text) const;
 
   /// Anchored match: true when the entire `text` matches.
@@ -50,28 +51,34 @@ class Regex {
 
   /// Number of DFA states of the search automaton (compile-time metric; the
   /// resource model uses it to size the operator).
-  int search_dfa_states() const {
-    return static_cast<int>(search_dfa_.size());
-  }
-  int full_dfa_states() const { return static_cast<int>(full_dfa_.size()); }
+  int search_dfa_states() const { return search_dfa_.num_states; }
+  int full_dfa_states() const { return full_dfa_.num_states; }
 
  private:
   Regex() = default;
 
-  /// One DFA state: 256 transitions plus an accept flag. kDead marks a
-  /// missing transition (reject).
-  struct DfaState {
-    std::vector<int32_t> next = std::vector<int32_t>(256, kDead);
-    bool accept = false;
+  /// A DFA as one flat `num_states x 256` transition table: the next state
+  /// of `s` on byte `b` is `next[s * 256 + b]`. State 0 is the start state.
+  /// Negative entries are sentinels: kDead (no transition, reject) in the
+  /// full-match table; kMatch (the next state accepts) in the search table,
+  /// where the first accepting state ends the scan.
+  struct Dfa {
+    std::vector<int32_t> next;
+    std::vector<uint8_t> accept;
+    int num_states = 0;
   };
   static constexpr int32_t kDead = -1;
-
-  static bool Run(const std::vector<DfaState>& dfa, std::string_view text,
-                  bool early_accept);
+  static constexpr int32_t kMatch = -2;
+  /// `skip_byte_` value when the start-state skip does not apply.
+  static constexpr int kNoSkip = -1;
 
   std::string pattern_;
-  std::vector<DfaState> search_dfa_;  ///< with implicit ".*" prefix
-  std::vector<DfaState> full_dfa_;    ///< anchored both ends
+  Dfa search_dfa_;  ///< with implicit ".*" prefix; accepts folded to kMatch
+  Dfa full_dfa_;    ///< anchored both ends
+  /// The only byte that leaves the search start state, or kNoSkip. While
+  /// the search automaton sits in its start state, every other byte loops
+  /// back to it, so Search jumps to the next occurrence with memchr.
+  int skip_byte_ = kNoSkip;
 };
 
 }  // namespace farview

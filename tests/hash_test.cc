@@ -207,6 +207,73 @@ TEST(CuckooTest, LoadFactorAndKicks) {
   EXPECT_GT(t.total_kicks(), 0u);
 }
 
+// Pins the exact placement behaviour of a small table driven past capacity:
+// which way each key lands in, the kick chains and which entries overflow
+// all show in the ForEach order. The expected values were recorded from the
+// reference implementation; any change to probe order, kick order or the
+// overflow path moves them. Payloads follow their keys through kicks.
+struct PlacementDigest {
+  uint64_t size;
+  uint64_t kicks;
+  uint64_t overflow;
+  uint64_t found;
+  uint64_t order_hash;  // FNV-1a over the ForEach (key, payload) sequence
+};
+
+PlacementDigest DrivePlacement(uint32_t key_width) {
+  CuckooTable t(2, 64, key_width, 8);
+  Rng rng(2024);
+  uint64_t found = 0;
+  std::vector<uint8_t> key(key_width);
+  for (int i = 0; i < 400; ++i) {
+    // ~190 distinct keys over 128 slots, with repeats.
+    const uint64_t v = rng.NextBelow(190) * 0x9e3779b97f4a7c15ull;
+    for (uint32_t off = 0; off < key_width; off += 8) {
+      StoreLE64(key.data() + off, v + off);
+    }
+    uint8_t* p = nullptr;
+    if (t.Upsert(key.data(), &p) == CuckooTable::UpsertResult::kFound) {
+      ++found;
+    }
+    EXPECT_EQ(p, t.Lookup(key.data()));
+    StoreLE64(p, LoadLE64(p) + static_cast<uint64_t>(i));
+  }
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const uint8_t* bytes, uint32_t n) {
+    for (uint32_t b = 0; b < n; ++b) {
+      h = (h ^ bytes[b]) * 0x100000001b3ull;
+    }
+  };
+  uint64_t visited = 0;
+  t.ForEach([&](const uint8_t* k, const uint8_t* payload) {
+    mix(k, key_width);
+    mix(payload, 8);
+    ++visited;
+  });
+  // Every resident entry exactly once, overflow included.
+  EXPECT_EQ(visited, t.size() + t.overflow_size());
+  return PlacementDigest{t.size(), t.total_kicks(), t.overflow_size(), found,
+                         h};
+}
+
+TEST(CuckooTest, PlacementPinnedNarrowKeys) {
+  const PlacementDigest d = DrivePlacement(8);
+  EXPECT_EQ(d.size, 117u);
+  EXPECT_EQ(d.kicks, 1590u);
+  EXPECT_EQ(d.overflow, 48u);
+  EXPECT_EQ(d.found, 235u);
+  EXPECT_EQ(d.order_hash, 9397037371655414035ull);
+}
+
+TEST(CuckooTest, PlacementPinnedWideKeys) {
+  const PlacementDigest d = DrivePlacement(24);
+  EXPECT_EQ(d.size, 117u);
+  EXPECT_EQ(d.kicks, 1618u);
+  EXPECT_EQ(d.overflow, 48u);
+  EXPECT_EQ(d.found, 235u);
+  EXPECT_EQ(d.order_hash, 381017084717462218ull);
+}
+
 TEST(CuckooDeathTest, RequiresPowerOfTwoSlots) {
   EXPECT_DEATH(CuckooTable(2, 100, 8, 0), "power of two");
 }

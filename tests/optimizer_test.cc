@@ -143,6 +143,10 @@ struct AccountabilityCase {
   bool vectorized;
 };
 
+// Prints the case by name, so the parameter (and the test name ctest derives
+// from it) is stable rather than a byte dump of the `name` pointer.
+void PrintTo(const AccountabilityCase& c, std::ostream* os) { *os << c.name; }
+
 class OptimizerAccountabilityTest
     : public ::testing::TestWithParam<AccountabilityCase> {};
 

@@ -73,12 +73,72 @@ std::string RandomPattern(Rng* rng, int depth) {
   return out.empty() ? "a" : out;
 }
 
-std::string RandomText(Rng* rng, uint64_t max_len) {
+/// A random text of up to `max_len` bytes over the pattern alphabet. With
+/// `foreign_bytes`, a per-text share of the bytes comes from outside it —
+/// other ASCII, NUL and bytes >= 0x80. Line terminators stay out: ECMAScript
+/// '.' does not match them, ours does.
+std::string RandomText(Rng* rng, uint64_t max_len, bool foreign_bytes = false) {
   const char* kChars = "abcxyz";
+  const char kOther[] = {'q', '0', ' ', '\0', '\x7f', '\x80', '\xc3', '\xff'};
   std::string s;
   const uint64_t len = rng->NextBelow(max_len + 1);
-  for (uint64_t i = 0; i < len; ++i) s += kChars[rng->NextBelow(6)];
+  const double other = foreign_bytes ? rng->NextDouble() : 0.0;
+  for (uint64_t i = 0; i < len; ++i) {
+    s += other > 0.0 && rng->NextBernoulli(other)
+             ? kOther[rng->NextBelow(sizeof(kOther))]
+             : kChars[rng->NextBelow(6)];
+  }
   return s;
+}
+
+/// A pattern with a chosen number of bytes leaving the search start state:
+/// shape 0 matches the empty string (the start state accepts), shape 1
+/// starts with one literal (the memchr skip applies), shape 2 starts with a
+/// class or alternation of several bytes (the plain table loop).
+std::string ShapedPattern(Rng* rng, int shape) {
+  const char* kAtoms = "abcxyz";
+  const char lit = kAtoms[rng->NextBelow(6)];
+  std::string out;
+  switch (shape) {
+    case 0:  // (inner)?
+      out += '(';
+      out += RandomPattern(rng, 1);
+      out += ")?";
+      break;
+    case 1:  // lit(inner)
+      out += lit;
+      out += '(';
+      out += RandomPattern(rng, 1);
+      out += ')';
+      break;
+    default:
+      if (rng->NextBernoulli(0.5)) {  // [lit?z]inner
+        out += '[';
+        out += lit;
+        out += kAtoms[rng->NextBelow(6)];
+        out += "z]";
+        out += RandomPattern(rng, 1);
+      } else {  // (lit|inner)
+        out += '(';
+        out += lit;
+        out += '|';
+        out += RandomPattern(rng, 1);
+        out += ')';
+      }
+      break;
+  }
+  return out;
+}
+
+/// Checks Search and FullMatch against std::regex on one text.
+void ExpectAgrees(const Regex& ours, const std::regex& theirs,
+                  const std::string& pattern, const std::string& text) {
+  EXPECT_EQ(ours.Search(text), std::regex_search(text, theirs))
+      << "Search mismatch: pattern='" << pattern << "' text='" << text
+      << "' (" << text.size() << " bytes)";
+  EXPECT_EQ(ours.FullMatch(text), std::regex_match(text, theirs))
+      << "FullMatch mismatch: pattern='" << pattern << "' text='" << text
+      << "' (" << text.size() << " bytes)";
 }
 
 class RegexDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -97,21 +157,49 @@ TEST_P(RegexDifferentialTest, AgreesWithStdRegex) {
       continue;  // std::regex rejects (shouldn't happen for this subset)
     }
     for (int t = 0; t < 25; ++t) {
-      const std::string text = RandomText(&rng, 12);
-      const bool ours_search = ours.value().Search(text);
-      const bool theirs_search = std::regex_search(text, theirs);
-      EXPECT_EQ(ours_search, theirs_search)
-          << "Search mismatch: pattern='" << pattern << "' text='" << text
-          << "'";
-      const bool ours_full = ours.value().FullMatch(text);
-      const bool theirs_full = std::regex_match(text, theirs);
-      EXPECT_EQ(ours_full, theirs_full)
-          << "FullMatch mismatch: pattern='" << pattern << "' text='"
-          << text << "'";
+      ExpectAgrees(ours.value(), theirs, pattern, RandomText(&rng, 12));
       ++compared;
     }
   }
   EXPECT_GT(compared, 1000);
+}
+
+// Long texts with foreign bytes, 64-byte NUL-padded fields (what
+// RegexSelectOp hands to Search) and texts ending in the pattern's first
+// byte, over patterns whose search start state has zero, one or several
+// leaving bytes — so the start-state skip runs past many bytes, stops at
+// the last byte, and is compared against the plain table loop's verdicts.
+TEST_P(RegexDifferentialTest, AgreesOnWideTexts) {
+  Rng rng(GetParam() * 7919);
+  int compared = 0;
+  for (int trial = 0; trial < 45; ++trial) {
+    const std::string pattern = ShapedPattern(&rng, trial % 3);
+    Result<Regex> ours = Regex::Compile(pattern);
+    ASSERT_TRUE(ours.ok()) << pattern << ": " << ours.status().ToString();
+    std::regex theirs;
+    try {
+      theirs = std::regex(pattern, std::regex::ECMAScript);
+    } catch (const std::regex_error&) {
+      continue;
+    }
+    for (int t = 0; t < 20; ++t) {
+      std::string text = RandomText(&rng, 128, /*foreign_bytes=*/true);
+      switch (t % 4) {
+        case 1:  // fixed-width CHAR(64) field: string then NUL padding
+          text.resize(64, '\0');
+          break;
+        case 2:  // the pattern's first byte as the text's last byte
+          text += pattern[0] == '(' || pattern[0] == '[' ? pattern[1]
+                                                         : pattern[0];
+          break;
+        default:
+          break;
+      }
+      ExpectAgrees(ours.value(), theirs, pattern, text);
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 800);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegexDifferentialTest,

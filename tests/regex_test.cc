@@ -180,6 +180,31 @@ TEST(RegexTest, DfaStateCountsExposed) {
   EXPECT_GT(re.full_dfa_states(), 0);
 }
 
+// The resource model sizes the regex operator from these counts, so the
+// automaton layout must not change them. Values recorded from the
+// per-state-vector implementation.
+TEST(RegexTest, DfaStateCountsPinned) {
+  struct Case {
+    const char* pattern;
+    int search_states;
+    int full_states;
+  };
+  const Case cases[] = {
+      {"abc", 4, 4},           {"xq", 3, 3},
+      {"x(q|z)", 4, 4},        {"(x|y)(q|p)*q?", 5, 5},
+      {"a*", 2, 2},            {"[a-c]+x.y", 6, 5},
+      {"(ab|cd)*e", 6, 6},     {"\\d+\\.\\d\\d", 5, 5},
+      {"hello|world|foo", 14, 14}, {"[^a]b", 3, 3},
+      {"(a|b)*abb", 5, 5},     {".", 2, 2},
+      {"a.*b.*c", 9, 7},
+  };
+  for (const Case& c : cases) {
+    const Regex re = MustCompile(c.pattern);
+    EXPECT_EQ(re.search_dfa_states(), c.search_states) << c.pattern;
+    EXPECT_EQ(re.full_dfa_states(), c.full_states) << c.pattern;
+  }
+}
+
 // The line-rate property: matcher work is one DFA transition per byte, so
 // pattern complexity must not change the number of steps. We verify the
 // functional surrogate: wildly different patterns all run over the same
