@@ -57,9 +57,6 @@ struct ClusterRun {
 ClusterRun RunCluster(const Table& rows, int num_replicas,
                       double resync_gbps) {
   ClusterConfig cc;
-  // Replicated runs stand up N nodes on one host; shrink the functional
-  // backing (timing-neutral) so three replicas do not allocate 3 GiB.
-  cc.node.dram.channel_capacity = 64 * kMiB;
   cc.node.retry.enabled = true;
   cc.node.faults.enabled = true;
   cc.node.faults.node_crash_at = kCrashAt;

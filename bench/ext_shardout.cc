@@ -57,13 +57,11 @@ double PercentileUs(std::vector<SimTime>* latencies, double p) {
 ShardRun RunShardout(const Table& rows, int shards, bool skewed) {
   ShardedConfig sc;
   sc.num_shards = shards;
-  // S nodes on one host: shrink the functional backing (timing-neutral) so
-  // 16 shards do not allocate 16 GiB; deepen the submission queues so the
-  // reader pool can stack requests on a hot shard instead of bouncing.
+  // Deepen the submission queues so the reader pool can stack requests on a
+  // hot shard instead of bouncing.
   // Retries stay off: a hot shard's queue wait exceeds the 250 us attempt
   // deadline by design, and this experiment measures that wait as p99 —
   // not the retry layer's reaction to it (ext_faults covers that).
-  sc.cluster.node.dram.channel_capacity = 128 * kMiB;
   sc.cluster.node.submission_queue_depth = 64;
 
   sim::Engine engine;

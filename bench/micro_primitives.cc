@@ -14,6 +14,7 @@
 #include "hash/cuckoo_table.h"
 #include "hash/hash.h"
 #include "hash/lru_shift_register.h"
+#include "mem/dram_config.h"
 #include "mem/mmu.h"
 #include "mem/physical_memory.h"
 #include "operators/batch.h"
@@ -124,6 +125,36 @@ void BM_MmuReadInto(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kSpan));
 }
 BENCHMARK(BM_MmuReadInto);
+
+// Construction and destruction of a default node's 1 GiB DRAM backing, which
+// every node set-up pays before its tables are uploaded.
+void BM_PhysicalMemoryConstruct(benchmark::State& state) {
+  const uint64_t capacity = DramConfig{}.TotalCapacity();
+  for (auto _ : state) {
+    PhysicalMemory phys(capacity, Mmu::kPageSize);
+    benchmark::DoNotOptimize(phys.num_frames());
+  }
+}
+BENCHMARK(BM_PhysicalMemoryConstruct);
+
+// One 2 MiB frame written in full, then freed. The free's scrub hands the
+// frame's pages back to the host, so the next write faults them in again;
+// timing write + free together weighs that against a memset scrub of warm
+// pages.
+void BM_FreeFrameScrub(benchmark::State& state) {
+  PhysicalMemory phys(Mmu::kPageSize, Mmu::kPageSize);
+  const std::vector<uint8_t> fill(Mmu::kPageSize, 0x5a);
+  for (auto _ : state) {
+    Result<uint64_t> frame = phys.AllocFrame();
+    if (!frame.ok()) return;
+    const uint64_t base = phys.FrameAddress(frame.value());
+    if (!phys.WritePhysical(base, fill.size(), fill.data()).ok()) return;
+    if (!phys.FreeFrame(frame.value()).ok()) return;
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(Mmu::kPageSize));
+}
+BENCHMARK(BM_FreeFrameScrub);
 
 void BM_CuckooUpsert(benchmark::State& state) {
   CuckooTable table(4, 1 << 16, 8, 8);

@@ -12,6 +12,19 @@ namespace {
 /// hardware uses a small bound because eviction happens in the background
 /// without stalling the pipeline.
 constexpr int kMaxKicks = 32;
+
+/// Validates the constructor arguments before the BRAM images are sized or
+/// mapped; returns the total slot count.
+uint64_t CheckedSlotCount(int num_ways, uint64_t slots_per_way,
+                          uint32_t key_width) {
+  FV_CHECK(num_ways >= 1 && num_ways <= CuckooTable::kMaxWays)
+      << "num_ways must be in [1, " << CuckooTable::kMaxWays << "], got "
+      << num_ways;
+  FV_CHECK(IsPowerOfTwo(slots_per_way))
+      << "slots_per_way must be a power of two, got " << slots_per_way;
+  FV_CHECK(key_width > 0) << "key_width must be positive";
+  return static_cast<uint64_t>(num_ways) * slots_per_way;
+}
 }  // namespace
 
 CuckooTable::CuckooTable(int num_ways, uint64_t slots_per_way,
@@ -20,16 +33,10 @@ CuckooTable::CuckooTable(int num_ways, uint64_t slots_per_way,
       slots_per_way_(slots_per_way),
       key_width_(key_width),
       payload_width_(payload_width),
-      slot_mask_(slots_per_way - 1) {
-  FV_CHECK(num_ways_ >= 1 && num_ways_ <= kMaxWays)
-      << "num_ways must be in [1, " << kMaxWays << "], got " << num_ways_;
-  FV_CHECK(IsPowerOfTwo(slots_per_way_))
-      << "slots_per_way must be a power of two, got " << slots_per_way_;
-  FV_CHECK(key_width_ > 0);
-  const uint64_t total = static_cast<uint64_t>(num_ways_) * slots_per_way_;
-  occupied_.assign(total, false);
-  keys_.assign(total * key_width_, 0);
-  payloads_.assign(total * PayloadStride(), 0);
+      slot_mask_(slots_per_way - 1),
+      occupied_(CheckedSlotCount(num_ways, slots_per_way, key_width), false),
+      keys_(occupied_.size() * key_width_),
+      payloads_(occupied_.size() * PayloadStride()) {
   pending_key_.reserve(key_width_);
   pending_payload_.reserve(PayloadStride());
   evicted_key_.reserve(key_width_);
@@ -146,10 +153,11 @@ CuckooTable::UpsertResult CuckooTable::Upsert(const uint8_t* key,
 
 void CuckooTable::Clear() {
   // Key/payload bytes of unoccupied slots are never read (every probe
-  // checks `occupied_` first, and inserts overwrite both arrays), so only
-  // the occupancy bits need resetting. This keeps Clear proportional to the
-  // bitmap, not to the BRAM image — regions Clear a full-size table between
-  // queries that may have touched a handful of slots.
+  // checks `occupied_` first, and inserts overwrite both arrays, zeroing a
+  // reused slot's stale payload), so only the occupancy bits need
+  // resetting. This keeps Clear proportional to the bitmap, not to the BRAM
+  // image — regions Clear a full-size table between queries that may have
+  // touched a handful of slots.
   std::fill(occupied_.begin(), occupied_.end(), false);
   overflow_keys_.clear();
   overflow_payloads_.clear();

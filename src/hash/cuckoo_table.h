@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/demand_zero_memory.h"
 #include "common/status.h"
 
 namespace farview {
@@ -37,7 +38,8 @@ class CuckooTable {
   /// hash circuits; per-key slot indices live on the stack).
   static constexpr int kMaxWays = 16;
 
-  /// `slots_per_way` must be a power of two. Total capacity is
+  /// `slots_per_way` must be a power of two, `num_ways` in [1, kMaxWays] and
+  /// `key_width` positive (checked; violations abort). Total capacity is
   /// `num_ways * slots_per_way` entries.
   CuckooTable(int num_ways, uint64_t slots_per_way, uint32_t key_width,
               uint32_t payload_width);
@@ -137,8 +139,10 @@ class CuckooTable {
   uint64_t slot_mask_;
 
   std::vector<bool> occupied_;
-  ByteBuffer keys_;
-  ByteBuffer payloads_;
+  /// BRAM images, demand-zero: a table costs the host only the pages its
+  /// inserts have written.
+  DemandZeroMemory keys_;
+  DemandZeroMemory payloads_;
 
   ByteBuffer overflow_keys_;
   ByteBuffer overflow_payloads_;

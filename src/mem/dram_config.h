@@ -17,7 +17,8 @@ struct DramConfig {
 
   /// Usable capacity per channel. The physical board has 16 GiB per
   /// channel; simulations default to a smaller functional backing since
-  /// experiments touch at most a few hundred MiB.
+  /// experiments touch at most a few hundred MiB. The backing is
+  /// demand-zero, so capacity bounds the address space, not host memory.
   uint64_t channel_capacity = 512ull * kMiB;
 
   /// Theoretical per-channel bandwidth (64 B × 300 MHz = 19.2e9; the paper

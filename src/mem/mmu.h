@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "mem/physical_memory.h"

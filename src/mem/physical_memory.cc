@@ -6,11 +6,21 @@
 
 namespace farview {
 
+namespace {
+
+/// Validates the constructor arguments before anything is sized or mapped.
+uint64_t CheckedFrameCount(uint64_t capacity, uint64_t frame_bytes) {
+  FV_CHECK(frame_bytes > 0) << "frame_bytes must be positive";
+  FV_CHECK(capacity / frame_bytes > 0) << "capacity smaller than one frame";
+  return capacity / frame_bytes;
+}
+
+}  // namespace
+
 PhysicalMemory::PhysicalMemory(uint64_t capacity, uint64_t frame_bytes)
-    : frame_bytes_(frame_bytes), num_frames_(capacity / frame_bytes) {
-  FV_CHECK(frame_bytes_ > 0);
-  FV_CHECK(num_frames_ > 0) << "capacity smaller than one frame";
-  data_.assign(num_frames_ * frame_bytes_, 0);
+    : frame_bytes_(frame_bytes),
+      num_frames_(CheckedFrameCount(capacity, frame_bytes)),
+      data_(num_frames_ * frame_bytes_) {
   in_use_.assign(num_frames_, false);
   free_list_.reserve(num_frames_);
   // Hand out low frames first: push in reverse so pop_back yields frame 0.
@@ -36,8 +46,9 @@ Status PhysicalMemory::FreeFrame(uint64_t frame) {
   }
   in_use_[frame] = false;
   // Scrub on free: a subsequent allocation must not observe stale tenant
-  // data (the MMU provides isolation between clients).
-  std::memset(data_.data() + frame * frame_bytes_, 0, frame_bytes_);
+  // data (the MMU provides isolation between clients). The frame's whole
+  // host pages go back to the host and read zero when next touched.
+  data_.Zero(FrameAddress(frame), frame_bytes_);
   free_list_.push_back(frame);
   return Status::OK();
 }

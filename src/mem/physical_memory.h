@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bytes.h"
+#include "common/demand_zero_memory.h"
 #include "common/status.h"
 
 namespace farview {
@@ -12,10 +12,14 @@ namespace farview {
 /// The functional backing store for Farview's on-board DRAM: a flat byte
 /// array divided into fixed-size frames handed out by a free-list
 /// allocator. Channel interleaving is a *timing* concern handled by the
-/// MemoryController; functionally the frames are plain bytes.
+/// MemoryController; functionally the frames are plain bytes. The array is
+/// demand-zero (`DemandZeroMemory`): the host backs only the pages that
+/// were written, so the modelled capacity is an address-space bound.
 class PhysicalMemory {
  public:
   /// `capacity` is rounded down to a whole number of `frame_bytes` frames.
+  /// Aborts unless `frame_bytes > 0` and `capacity` holds at least one
+  /// frame.
   PhysicalMemory(uint64_t capacity, uint64_t frame_bytes);
 
   PhysicalMemory(const PhysicalMemory&) = delete;
@@ -24,7 +28,8 @@ class PhysicalMemory {
   /// Allocates one frame; returns its index. Fails when memory is full.
   Result<uint64_t> AllocFrame();
 
-  /// Returns a frame to the free list. Fails on double free / bad index.
+  /// Returns a frame to the free list and scrubs it to zero. Fails on
+  /// double free / bad index.
   Status FreeFrame(uint64_t frame);
 
   /// Raw access to physical bytes. `paddr` + `len` must be in range.
@@ -48,7 +53,7 @@ class PhysicalMemory {
  private:
   uint64_t frame_bytes_;
   uint64_t num_frames_;
-  ByteBuffer data_;
+  DemandZeroMemory data_;
   std::vector<uint64_t> free_list_;
   std::vector<bool> in_use_;
 };

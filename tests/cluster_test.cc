@@ -32,11 +32,9 @@ Table MakeRows(uint64_t bytes, uint64_t gen_seed = 7) {
   return std::move(t).value();
 }
 
-/// Cluster config sized for tests: small functional backing (N nodes per
-/// engine), retry policy on, seeded from the CI sweep.
+/// Cluster config for tests: retry policy on, seeded from the CI sweep.
 ClusterConfig TestConfig(int replicas) {
   ClusterConfig cc;
-  cc.node.dram.channel_capacity = 32 * kMiB;
   cc.node.retry.enabled = true;
   cc.num_replicas = replicas;
   cc.seed = TestSeed();

@@ -229,7 +229,6 @@ struct LivenessScenario {
 void RunLivenessScenario(const LivenessScenario& sc, int replicas,
                          uint64_t seed) {
   ClusterConfig cc;
-  cc.node.dram.channel_capacity = 32 * kMiB;
   cc.node.retry.enabled = true;
   cc.seed = seed;
   cc.num_replicas = replicas;

@@ -97,6 +97,15 @@ TEST(CuckooTest, PayloadZeroInitialized) {
   uint8_t* p = nullptr;
   t.Upsert(key, &p);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(p[i], 0);
+
+  // Clear() leaves a reused slot's old payload bytes in place; the insert
+  // must zero them rather than rely on the image being zero-initialized.
+  std::memset(p, 0xab, 16);
+  t.Clear();
+  uint8_t* q = nullptr;
+  EXPECT_EQ(t.Upsert(key, &q), CuckooTable::UpsertResult::kInserted);
+  EXPECT_EQ(q, p);  // same key, empty table: the same slot
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(q[i], 0);
 }
 
 TEST(CuckooTest, ManyKeysAllRetrievable) {
@@ -276,6 +285,13 @@ TEST(CuckooTest, PlacementPinnedWideKeys) {
 
 TEST(CuckooDeathTest, RequiresPowerOfTwoSlots) {
   EXPECT_DEATH(CuckooTable(2, 100, 8, 0), "power of two");
+}
+
+TEST(CuckooDeathTest, RejectsBadWaysAndKeyWidth) {
+  EXPECT_DEATH(CuckooTable(0, 64, 8, 0), "num_ways");
+  EXPECT_DEATH(CuckooTable(CuckooTable::kMaxWays + 1, 64, 8, 0), "num_ways");
+  EXPECT_DEATH(CuckooTable(2, 0, 8, 0), "power of two");
+  EXPECT_DEATH(CuckooTable(2, 64, 0, 0), "key_width");
 }
 
 // ---------------------------------------------------------------------------

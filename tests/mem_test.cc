@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "mem/dram_config.h"
 #include "mem/memory_controller.h"
@@ -56,17 +57,58 @@ TEST(PhysicalMemoryTest, ReadWriteBounds) {
 }
 
 TEST(PhysicalMemoryTest, FreedFramesAreScrubbed) {
-  PhysicalMemory pm(kPage, kPage);
-  Result<uint64_t> f = pm.AllocFrame();
-  ASSERT_TRUE(f.ok());
-  uint8_t secret[8] = {0xde, 0xad};
-  ASSERT_TRUE(pm.WritePhysical(pm.FrameAddress(f.value()), 8, secret).ok());
-  ASSERT_TRUE(pm.FreeFrame(f.value()).ok());
-  Result<uint64_t> f2 = pm.AllocFrame();
-  ASSERT_TRUE(f2.ok());
-  uint8_t out[8];
-  ASSERT_TRUE(pm.ReadPhysical(pm.FrameAddress(f2.value()), 8, out).ok());
-  for (uint8_t b : out) EXPECT_EQ(b, 0);
+  // Frame sizes on and off the 4 KiB host page grid: the scrub releases
+  // the frame's whole host pages and memsets only its partial edge pages,
+  // which it shares with the neighbouring frames.
+  constexpr uint64_t kHostPage = 4096;
+  for (const uint64_t frame_bytes :
+       {kPage, uint64_t{5000}, 3 * kHostPage + 100}) {
+    SCOPED_TRACE(frame_bytes);
+    PhysicalMemory pm(3 * frame_bytes, frame_bytes);
+    for (uint64_t f = 0; f < 3; ++f) {
+      Result<uint64_t> got = pm.AllocFrame();
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got.value(), f);
+    }
+    // Frame k = 1: its first and last bytes, and two bytes straddling the
+    // first host page boundary inside it.
+    const uint64_t base = pm.FrameAddress(1);
+    const uint64_t boundary = AlignUp(base + 1, kHostPage);
+    ASSERT_LT(boundary, base + frame_bytes);
+    const std::vector<uint64_t> secret_at = {base, boundary - 1, boundary,
+                                             base + frame_bytes - 1};
+    const uint8_t secret = 0xde;
+    for (uint64_t a : secret_at) {
+      ASSERT_TRUE(pm.WritePhysical(a, 1, &secret).ok());
+    }
+    // Frames k-1 and k+1: the bytes adjacent to frame k.
+    const uint8_t keep = 0x5a;
+    const std::vector<uint64_t> keep_at = {base - 1, base + frame_bytes};
+    for (uint64_t a : keep_at) {
+      ASSERT_TRUE(pm.WritePhysical(a, 1, &keep).ok());
+    }
+
+    ASSERT_TRUE(pm.FreeFrame(1).ok());
+    Result<uint64_t> again = pm.AllocFrame();
+    ASSERT_TRUE(again.ok());
+    ASSERT_EQ(again.value(), 1u);
+
+    for (uint64_t a : secret_at) {
+      uint8_t b = 0xff;
+      ASSERT_TRUE(pm.ReadPhysical(a, 1, &b).ok());
+      EXPECT_EQ(b, 0) << "stale byte at " << a;
+    }
+    for (uint64_t a : keep_at) {
+      uint8_t b = 0;
+      ASSERT_TRUE(pm.ReadPhysical(a, 1, &b).ok());
+      EXPECT_EQ(b, keep) << "neighbour byte scrubbed at " << a;
+    }
+  }
+}
+
+TEST(PhysicalMemoryDeathTest, RejectsZeroFrameBytes) {
+  EXPECT_DEATH(PhysicalMemory(kPage, 0), "frame_bytes must be positive");
+  EXPECT_DEATH(PhysicalMemory(kPage - 1, kPage), "smaller than one frame");
 }
 
 // ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ ShardedConfig TestConfig(int shards, int replicas = 1) {
   ShardedConfig sc;
   sc.num_shards = shards;
   sc.cluster.num_replicas = replicas;
-  // S*R nodes on one host: shrink the functional backing (timing-neutral).
-  sc.cluster.node.dram.channel_capacity = 32 * kMiB;
   sc.cluster.node.retry.enabled = true;
   return sc;
 }
