@@ -1,12 +1,23 @@
 #include "fv/client.h"
 
-#include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/logging.h"
+#include "fv/client_stack.h"
 
 namespace farview {
+namespace {
+
+/// Tail of the convenience queries: load the built pipeline, then scan the
+/// whole table through it.
+Result<FvResult> LoadAndScan(FarviewClient& client, Result<Pipeline> pipeline,
+                             const FTable& table, bool vectorized = false) {
+  FV_RETURN_IF_ERROR(pipeline.status());
+  FV_RETURN_IF_ERROR(client.LoadPipeline(std::move(pipeline).value()));
+  return client.FarviewRequest(client.ScanRequest(table, vectorized));
+}
+
+}  // namespace
 
 /// One client-side reliable call: the retry loop's state, shared by the
 /// attempt-completion, timeout and backoff events. `token` names the live
@@ -44,7 +55,7 @@ void FarviewClient::CloseConnection() {
 }
 
 Status FarviewClient::AllocTableMem(FTable* table) {
-  if (qp_ == nullptr) return Status::FailedPrecondition("not connected");
+  if (!connected()) return NotConnected();
   if (table->name.empty() || table->num_rows == 0) {
     return Status::InvalidArgument("table needs a name and a row count");
   }
@@ -60,7 +71,7 @@ Status FarviewClient::AllocTableMem(FTable* table) {
 }
 
 Status FarviewClient::FreeTableMem(FTable* table) {
-  if (qp_ == nullptr) return Status::FailedPrecondition("not connected");
+  if (!connected()) return NotConnected();
   FV_RETURN_IF_ERROR(node_->FreeTableMem(*qp_, table->vaddr));
   if (catalog_.Contains(table->name)) {
     FV_RETURN_IF_ERROR(catalog_.Drop(table->name));
@@ -70,7 +81,7 @@ Status FarviewClient::FreeTableMem(FTable* table) {
 }
 
 Result<TableEntry> FarviewClient::ShareTable(const FTable& table) {
-  if (qp_ == nullptr) return Status::FailedPrecondition("not connected");
+  if (!connected()) return NotConnected();
   FV_RETURN_IF_ERROR(node_->ShareTableMem(*qp_, table.vaddr));
   return catalog_.Lookup(table.name);
 }
@@ -81,118 +92,84 @@ Status FarviewClient::ImportTable(const TableEntry& entry) {
 
 Result<SimTime> FarviewClient::TableWrite(const FTable& table,
                                           const Table& rows) {
-  if (qp_ == nullptr) return Status::FailedPrecondition("not connected");
-  if (!rows.schema().Equals(table.schema)) {
-    return Status::InvalidArgument("row data does not match table schema");
-  }
-  if (rows.num_rows() != table.num_rows) {
-    return Status::InvalidArgument("row count does not match table");
-  }
-  std::optional<Result<SimTime>> out;
-  node_->TableWrite(qp_->qp_id, table.vaddr, rows.data(), rows.size_bytes(),
-                    [&out](Result<SimTime> r) { out.emplace(std::move(r)); });
-  node_->engine()->Run();
-  FV_CHECK(out.has_value()) << "TableWrite did not complete";
-  return std::move(*out);
+  if (!connected()) return NotConnected();
+  FV_RETURN_IF_ERROR(CheckRowsMatch(table, rows));
+  return RunSync<Result<SimTime>>(node_->engine(), true, [&](auto done) {
+    node_->TableWrite(qp_->qp_id, table.vaddr, rows.data(), rows.size_bytes(),
+                      std::move(done));
+  });
 }
 
 Result<FvResult> FarviewClient::TableRead(const FTable& table) {
-  if (qp_ == nullptr) return Status::FailedPrecondition("not connected");
-  std::optional<Result<FvResult>> out;
-  TableReadAsync(table,
-                 [&out](Result<FvResult> r) { out.emplace(std::move(r)); });
-  node_->engine()->Run();
-  FV_CHECK(out.has_value()) << "TableRead did not complete";
-  return std::move(*out);
+  return RunSync<Result<FvResult>>(
+      node_->engine(), connected(),
+      [&](auto done) { TableReadAsync(table, std::move(done)); });
 }
 
 Status FarviewClient::LoadPipeline(Pipeline pipeline) {
-  if (qp_ == nullptr) return Status::FailedPrecondition("not connected");
-  std::optional<Status> out;
-  node_->LoadPipeline(qp_->qp_id, std::move(pipeline),
-                      [&out](Status s) { out.emplace(std::move(s)); });
-  node_->engine()->Run();
-  FV_CHECK(out.has_value()) << "LoadPipeline did not complete";
-  return *out;
+  return RunSync<Status>(node_->engine(), connected(), [&](auto done) {
+    LoadPipelineAsync(std::move(pipeline), std::move(done));
+  });
 }
 
 Result<FvResult> FarviewClient::FarviewRequest(const FvRequest& request) {
-  if (qp_ == nullptr) return Status::FailedPrecondition("not connected");
-  std::optional<Result<FvResult>> out;
-  FarviewRequestAsync(request,
-                      [&out](Result<FvResult> r) { out.emplace(std::move(r)); });
-  node_->engine()->Run();
-  FV_CHECK(out.has_value()) << "FarviewRequest did not complete";
-  return std::move(*out);
+  return RunSync<Result<FvResult>>(
+      node_->engine(), connected(),
+      [&](auto done) { FarviewRequestAsync(request, std::move(done)); });
 }
 
 void FarviewClient::FarviewRequestAsync(
     const FvRequest& request, std::function<void(Result<FvResult>)> done) {
-  FV_CHECK(qp_ != nullptr) << "not connected";
-  if (node_->config().retry.enabled) {
-    IssueWithRetries(Verb::kFarview, request, std::move(done));
-    return;
-  }
-  if (GateBlocked()) {
-    done(GateError());
-    return;
-  }
-  node_->FarviewRequest(qp_->qp_id, request, std::move(done));
+  Issue(Verb::kFarview, request, std::move(done));
 }
 
 void FarviewClient::TableReadAsync(const FTable& table,
                                    std::function<void(Result<FvResult>)> done) {
-  FV_CHECK(qp_ != nullptr) << "not connected";
+  Issue(Verb::kRead, FullScanRequest(table, false), std::move(done));
+}
+
+void FarviewClient::Issue(Verb verb, const FvRequest& request,
+                          std::function<void(Result<FvResult>)> done) {
   if (node_->config().retry.enabled) {
-    FvRequest req;
-    req.vaddr = table.vaddr;
-    req.len = table.SizeBytes();
-    IssueWithRetries(Verb::kRead, req, std::move(done));
+    auto call = std::make_shared<ReliableCall>();
+    call->verb = verb;
+    call->request = request;
+    call->done = std::move(done);
+    StartReliableAttempt(std::move(call));
     return;
   }
-  if (GateBlocked()) {
-    done(GateError());
+  if (Status admitted = Admit(); !admitted.ok()) {
+    done(std::move(admitted));
     return;
   }
-  node_->TableRead(qp_->qp_id, table.vaddr, table.SizeBytes(),
-                   std::move(done));
+  Send(verb, request, std::move(done));
 }
 
-bool FarviewClient::GateBlocked() {
-  if (!gate_ || gate_()) return false;
+void FarviewClient::Send(Verb verb, const FvRequest& request,
+                         std::function<void(Result<FvResult>)> done) {
+  if (verb == Verb::kRead) {
+    node_->TableRead(qp_->qp_id, request.vaddr, request.len, std::move(done));
+  } else {
+    node_->FarviewRequest(qp_->qp_id, request, std::move(done));
+  }
+}
+
+Status FarviewClient::Admit() {
+  if (!connected()) return NotConnected();
+  if (!gate_ || gate_()) return Status::OK();
   node_->stats().RecordFastFail();
-  return true;
-}
-
-Status FarviewClient::GateError() {
   return Status::Unavailable("node circuit open (fast-fail)");
 }
 
-void FarviewClient::IssueWithRetries(
-    Verb verb, const FvRequest& request,
-    std::function<void(Result<FvResult>)> done) {
-  auto call = std::make_shared<ReliableCall>();
-  call->verb = verb;
-  call->request = request;
-  call->done = std::move(done);
-  StartReliableAttempt(std::move(call));
-}
-
 void FarviewClient::StartReliableAttempt(std::shared_ptr<ReliableCall> call) {
-  if (qp_ == nullptr) {
-    // Connection closed between attempts (disconnect during backoff).
-    FinishReliable(std::move(call),
-                   Status::FailedPrecondition("not connected"));
+  if (Status admitted = Admit(); !admitted.ok()) {
+    // Not connected (e.g. closed during backoff), or a known-dead node:
+    // settle the whole call now instead of burning the remaining
+    // timeout/backoff schedule — the router above (if any) fails over to a
+    // live replica immediately (DESIGN.md §12).
+    FinishReliable(std::move(call), std::move(admitted));
     return;
   }
-  if (GateBlocked()) {
-    // Known-dead node: settle the whole call now instead of burning the
-    // remaining timeout/backoff schedule — the router above (if any) fails
-    // over to a live replica immediately (DESIGN.md §12).
-    FinishReliable(std::move(call), GateError());
-    return;
-  }
-  const RetryPolicy& rp = node_->config().retry;
   ++call->attempts_done;
   const uint64_t token = ++call->token;
   auto on_result = [this, call, token](Result<FvResult> res) {
@@ -202,30 +179,20 @@ void FarviewClient::StartReliableAttempt(std::shared_ptr<ReliableCall> call) {
       node_->stats().RecordLateCompletion();
       return;
     }
-    if (res.ok()) {
+    // Health failures retry, and so do sheds: the node is healthy but
+    // refusing work, and its retry-after hint floors the backoff below.
+    const HopOutcome outcome = ClassifyHop(res.status());
+    if (outcome == HopOutcome::kOk || outcome == HopOutcome::kRequestError) {
       FinishReliable(call, std::move(res));
-      return;
-    }
-    const Status s = res.status();
-    // `ResourceExhausted` is retryable too: the node is healthy but
-    // shedding, and its retry-after hint floors the backoff below.
-    if (s.IsUnavailable() || s.IsDeadlineExceeded() ||
-        s.IsResourceExhausted()) {
-      HandleAttemptFailure(call, s);
     } else {
-      FinishReliable(call, std::move(res));  // not retryable
+      HandleAttemptFailure(call, res.status());
     }
   };
-  if (call->verb == Verb::kRead) {
-    node_->TableRead(qp_->qp_id, call->request.vaddr, call->request.len,
-                     on_result);
-  } else {
-    node_->FarviewRequest(qp_->qp_id, call->request, on_result);
-  }
+  Send(call->verb, call->request, std::move(on_result));
   // The attempt's completion timeout. A resolved attempt (either way) bumps
   // the token, turning this event into a no-op.
   node_->engine()->ScheduleAfter(
-      rp.completion_timeout, [this, call, token]() {
+      node_->config().retry.completion_timeout, [this, call, token]() {
         if (call->settled || token != call->token) return;
         node_->stats().RecordTimeout();
         HandleAttemptFailure(
@@ -277,24 +244,21 @@ void FarviewClient::FinishReliable(std::shared_ptr<ReliableCall> call,
                                    Result<FvResult> res) {
   ++call->token;  // no event of this call may act after settlement
   call->settled = true;
-  auto done = std::move(call->done);
-  done(std::move(res));
+  Settle(call->done, std::move(res));
 }
 
 void FarviewClient::LoadPipelineAsync(Pipeline pipeline,
                                       std::function<void(Status)> done) {
-  FV_CHECK(qp_ != nullptr) << "not connected";
+  if (!connected()) {
+    done(NotConnected());
+    return;
+  }
   node_->LoadPipeline(qp_->qp_id, std::move(pipeline), std::move(done));
 }
 
 FvRequest FarviewClient::ScanRequest(const FTable& table,
                                      bool vectorized) const {
-  FvRequest req;
-  req.vaddr = table.vaddr;
-  req.len = table.SizeBytes();
-  req.tuple_bytes = table.schema.tuple_width();
-  req.vectorized = vectorized;
-  return req;
+  return FullScanRequest(table, vectorized);
 }
 
 Result<FvResult> FarviewClient::FvSelect(const FTable& table,
@@ -304,65 +268,53 @@ Result<FvResult> FarviewClient::FvSelect(const FTable& table,
   PipelineBuilder builder(table.schema);
   builder.Select(std::move(predicates));
   if (!projection.empty()) builder.Project(std::move(projection));
-  FV_ASSIGN_OR_RETURN(Pipeline pipeline, builder.Build());
-  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline)));
-  return FarviewRequest(ScanRequest(table, vectorized));
+  return LoadAndScan(*this, builder.Build(), table, vectorized);
 }
 
 Result<FvResult> FarviewClient::FvDistinct(const FTable& table,
                                            std::vector<int> key_columns,
                                            const GroupingConfig& config) {
-  FV_ASSIGN_OR_RETURN(Pipeline pipeline,
-                      PipelineBuilder(table.schema)
-                          .Distinct(std::move(key_columns), config)
-                          .Build());
-  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline)));
-  return FarviewRequest(ScanRequest(table));
+  return LoadAndScan(*this,
+                     PipelineBuilder(table.schema)
+                         .Distinct(std::move(key_columns), config)
+                         .Build(),
+                     table);
 }
 
 Result<FvResult> FarviewClient::FvGroupBy(const FTable& table,
                                           std::vector<int> key_columns,
                                           std::vector<AggSpec> aggs,
                                           const GroupingConfig& config) {
-  FV_ASSIGN_OR_RETURN(Pipeline pipeline,
-                      PipelineBuilder(table.schema)
-                          .GroupBy(std::move(key_columns), std::move(aggs),
-                                   config)
-                          .Build());
-  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline)));
-  return FarviewRequest(ScanRequest(table));
+  return LoadAndScan(*this,
+                     PipelineBuilder(table.schema)
+                         .GroupBy(std::move(key_columns), std::move(aggs),
+                                  config)
+                         .Build(),
+                     table);
 }
 
 Result<FvResult> FarviewClient::FvRegexSelect(const FTable& table, int column,
                                               const std::string& pattern) {
-  FV_ASSIGN_OR_RETURN(Pipeline pipeline,
-                      PipelineBuilder(table.schema)
-                          .RegexSelect(column, pattern)
-                          .Build());
-  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline)));
-  return FarviewRequest(ScanRequest(table));
+  return LoadAndScan(
+      *this, PipelineBuilder(table.schema).RegexSelect(column, pattern).Build(),
+      table);
 }
 
 Result<FvResult> FarviewClient::FvJoinSmall(const FTable& table,
                                             int probe_key, const Table& build,
                                             int build_key) {
-  FV_ASSIGN_OR_RETURN(Pipeline pipeline,
-                      PipelineBuilder(table.schema)
-                          .HashJoinSmall(probe_key, build, build_key)
-                          .Build());
-  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline)));
-  return FarviewRequest(ScanRequest(table));
+  return LoadAndScan(*this,
+                     PipelineBuilder(table.schema)
+                         .HashJoinSmall(probe_key, build, build_key)
+                         .Build(),
+                     table);
 }
 
 Result<FvResult> FarviewClient::FvDecryptRead(const FTable& table,
                                               const uint8_t key[16],
                                               const uint8_t nonce[16]) {
-  FV_ASSIGN_OR_RETURN(Pipeline pipeline,
-                      PipelineBuilder(table.schema)
-                          .Decrypt(key, nonce)
-                          .Build());
-  FV_RETURN_IF_ERROR(LoadPipeline(std::move(pipeline)));
-  return FarviewRequest(ScanRequest(table));
+  return LoadAndScan(
+      *this, PipelineBuilder(table.schema).Decrypt(key, nonce).Build(), table);
 }
 
 }  // namespace farview

@@ -36,6 +36,8 @@ struct FTable {
 ///  - synchronous wrappers that drive the simulation engine until their own
 ///    completion arrives (only valid when no other traffic must stay
 ///    pending; benches with multiple clients use the async forms).
+/// On an unconnected client every data-path call settles with
+/// `FailedPrecondition`; async forms deliver it at the calling instant.
 ///
 /// "The interface presented here is intended to be used by the query
 /// compiler in Farview, rather than directly by the client" — the
@@ -165,9 +167,14 @@ class FarviewClient {
   /// State of one call under the retry policy (defined in client.cc).
   struct ReliableCall;
 
-  /// Entry: allocates the call state and issues the first attempt.
-  void IssueWithRetries(Verb verb, const FvRequest& request,
-                        std::function<void(Result<FvResult>)> done);
+  /// Entry of both async verbs: under the retry policy, allocates the call
+  /// state and starts its first attempt; without it, posts one admitted
+  /// attempt. Either way a call that `Admit` refuses settles at once.
+  void Issue(Verb verb, const FvRequest& request,
+             std::function<void(Result<FvResult>)> done);
+  /// Posts one attempt of `verb` on this connection.
+  void Send(Verb verb, const FvRequest& request,
+            std::function<void(Result<FvResult>)> done);
   /// Issues one attempt plus its completion-timeout event.
   void StartReliableAttempt(std::shared_ptr<ReliableCall> call);
   /// A retryable failure (or timeout): backoff-retry, degrade, or give up.
@@ -178,11 +185,10 @@ class FarviewClient {
   /// Settles the call and invokes the user callback exactly once.
   void FinishReliable(std::shared_ptr<ReliableCall> call,
                       Result<FvResult> res);
-  /// True when the health gate says the node is known-dead; counts the
-  /// fast-fail on the node's stats.
-  bool GateBlocked();
-  /// The status fast-failed calls settle with.
-  static Status GateError();
+  /// Checked before every attempt: `NotConnected()` when unconnected,
+  /// `Unavailable` (counted as a fast-fail) when the health gate says the
+  /// node is known-dead, else OK.
+  Status Admit();
 
   FarviewNode* node_;
   int client_id_;

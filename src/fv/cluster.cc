@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 
 #include "common/bytes.h"
 #include "common/logging.h"
+#include "fv/client_stack.h"
 
 namespace farview {
 
@@ -316,7 +318,7 @@ struct ClusterClient::MirroredWrite {
   uint64_t epoch = 0;
   std::vector<int> targets;  ///< in-rotation replicas at issue, index order
   size_t primary_pos = 0;    ///< current primary candidate within `targets`
-  int pending_mirrors = 0;
+  FanOutJoin mirrors;  ///< acks of the hops after the primary's
   SimTime last_ack = 0;
   Status error;  ///< first primary-hop error, reported if all hops fail
   std::function<void(Result<SimTime>)> done;
@@ -338,8 +340,6 @@ ClusterClient::ClusterClient(FarviewCluster* cluster, int client_id)
     breakers_.push_back(std::make_unique<CircuitBreaker>(
         cluster_->engine(), cluster_->config().breaker, seed,
         &cluster_->node(r).stats()));
-  }
-  for (int r = 0; r < n; ++r) {
     // The nodes outlive this client; the alive flag voids the observer.
     cluster_->node(r).AddDownObserver([alive = alive_, this, r](bool down) {
       if (!*alive || !down) return;
@@ -361,78 +361,27 @@ ClusterClient::~ClusterClient() {
 }
 
 Status ClusterClient::OpenConnection() {
-  if (!clients_.empty()) {
-    return Status::FailedPrecondition("connection already open");
-  }
-  // Build into a local vector and commit only on full success: a partial
-  // clients_ would make connected() true while data-path methods index it
-  // by replica id past its end.
-  std::vector<std::unique_ptr<FarviewClient>> clients;
-  for (int r = 0; r < cluster_->num_replicas(); ++r) {
-    auto client =
-        std::make_unique<FarviewClient>(&cluster_->node(r), client_id_);
-    FV_RETURN_IF_ERROR(client->OpenConnection());
-    client->SetHealthGate(
-        [breaker = breakers_[static_cast<size_t>(r)].get()]() {
-          return !breaker->BlocksAttempts();
-        });
-    clients.push_back(std::move(client));
-  }
-  clients_ = std::move(clients);
-  return Status::OK();
+  return ConnectAll(
+      cluster_->num_replicas(),
+      [this](int r) {
+        auto client =
+            std::make_unique<FarviewClient>(&cluster_->node(r), client_id_);
+        client->SetHealthGate(
+            [breaker = breakers_[static_cast<size_t>(r)].get()]() {
+              return !breaker->BlocksAttempts();
+            });
+        return client;
+      },
+      &clients_);
 }
 
 void ClusterClient::CloseConnection() { clients_.clear(); }
 
-Status ClusterClient::AllocTableMem(FTable* table) {
-  if (clients_.empty()) return Status::FailedPrecondition("not connected");
-  FarviewCluster::LogEntry entry;
-  entry.kind = FarviewCluster::LogEntry::Kind::kAlloc;
+template <typename Apply>
+Status ClusterClient::MirrorControl(FarviewCluster::LogEntry entry,
+                                    const char* what, Apply apply) {
+  if (!connected()) return NotConnected();
   entry.client_id = client_id_;
-  entry.bytes = table->SizeBytes();
-  const uint64_t epoch = cluster_->AppendEntry(entry);
-  uint64_t vaddr = 0;
-  bool have_vaddr = false;
-  for (int r = 0; r < cluster_->num_replicas(); ++r) {
-    if (!cluster_->CanApply(r)) {
-      cluster_->MarkMissed(r, epoch);
-      continue;
-    }
-    FTable replica_table = *table;
-    const Status allocated =
-        clients_[static_cast<size_t>(r)]->AllocTableMem(&replica_table);
-    if (!allocated.ok()) {
-      // Control ops are synchronous and deterministic, so the failure is
-      // not replica health: abort the epoch before reporting it, or a
-      // replica that missed it would replay a doomed alloc (vaddr still 0)
-      // on rejoin and crash recovery.
-      cluster_->AbortEntry(epoch);
-      return allocated;
-    }
-    if (!have_vaddr) {
-      vaddr = replica_table.vaddr;
-      have_vaddr = true;
-      cluster_->SetEntryVaddr(epoch, vaddr);
-    } else if (replica_table.vaddr != vaddr) {
-      cluster_->AbortEntry(epoch);
-      return Status::Internal("replica allocators diverged");
-    }
-    cluster_->MarkApplied(r, epoch);
-  }
-  if (!have_vaddr) {
-    cluster_->AbortEntry(epoch);
-    return Status::Unavailable("no in-rotation replica for allocation");
-  }
-  table->vaddr = vaddr;
-  return Status::OK();
-}
-
-Status ClusterClient::FreeTableMem(FTable* table) {
-  if (clients_.empty()) return Status::FailedPrecondition("not connected");
-  FarviewCluster::LogEntry entry;
-  entry.kind = FarviewCluster::LogEntry::Kind::kFree;
-  entry.client_id = client_id_;
-  entry.vaddr = table->vaddr;
   const uint64_t epoch = cluster_->AppendEntry(entry);
   bool applied_any = false;
   for (int r = 0; r < cluster_->num_replicas(); ++r) {
@@ -440,80 +389,93 @@ Status ClusterClient::FreeTableMem(FTable* table) {
       cluster_->MarkMissed(r, epoch);
       continue;
     }
-    FTable replica_table = *table;
-    const Status freed =
-        clients_[static_cast<size_t>(r)]->FreeTableMem(&replica_table);
-    if (!freed.ok()) {
-      // See AllocTableMem: a request error (e.g. freeing foreign memory)
-      // must not leave a live entry that recovery would replay and fail on.
+    const Status applied = apply(*clients_[static_cast<size_t>(r)], epoch);
+    if (!applied.ok()) {
+      // Control ops are synchronous and deterministic, so the failure is
+      // not replica health: abort the epoch before reporting it, or a
+      // replica that missed it would replay the doomed op (e.g. an alloc
+      // with vaddr still 0) on rejoin and crash recovery.
       cluster_->AbortEntry(epoch);
-      return freed;
+      return applied;
     }
     cluster_->MarkApplied(r, epoch);
     applied_any = true;
   }
   if (!applied_any) {
     cluster_->AbortEntry(epoch);
-    return Status::Unavailable("no in-rotation replica for free");
+    return Status::Unavailable(std::string("no in-rotation replica for ") +
+                               what);
   }
+  return Status::OK();
+}
+
+Status ClusterClient::AllocTableMem(FTable* table) {
+  FarviewCluster::LogEntry entry;
+  entry.kind = FarviewCluster::LogEntry::Kind::kAlloc;
+  entry.bytes = table->SizeBytes();
+  std::optional<uint64_t> vaddr;
+  FV_RETURN_IF_ERROR(MirrorControl(
+      entry, "allocation", [&](FarviewClient& replica, uint64_t epoch) {
+        FTable replica_table = *table;
+        const Status allocated = replica.AllocTableMem(&replica_table);
+        if (!allocated.ok()) return allocated;
+        if (!vaddr.has_value()) {
+          vaddr = replica_table.vaddr;
+          cluster_->SetEntryVaddr(epoch, *vaddr);
+        } else if (replica_table.vaddr != *vaddr) {
+          return Status::Internal("replica allocators diverged");
+        }
+        return Status::OK();
+      }));
+  table->vaddr = *vaddr;
+  return Status::OK();
+}
+
+Status ClusterClient::FreeTableMem(FTable* table) {
+  FarviewCluster::LogEntry entry;
+  entry.kind = FarviewCluster::LogEntry::Kind::kFree;
+  entry.vaddr = table->vaddr;
+  FV_RETURN_IF_ERROR(
+      MirrorControl(entry, "free", [&](FarviewClient& replica, uint64_t) {
+        FTable replica_table = *table;
+        return replica.FreeTableMem(&replica_table);
+      }));
   table->vaddr = 0;
   return Status::OK();
 }
 
 Result<TableEntry> ClusterClient::ShareTable(const FTable& table) {
-  if (clients_.empty()) return Status::FailedPrecondition("not connected");
   FarviewCluster::LogEntry entry;
   entry.kind = FarviewCluster::LogEntry::Kind::kShare;
-  entry.client_id = client_id_;
   entry.vaddr = table.vaddr;
-  const uint64_t epoch = cluster_->AppendEntry(entry);
   std::optional<TableEntry> shared;
-  for (int r = 0; r < cluster_->num_replicas(); ++r) {
-    if (!cluster_->CanApply(r)) {
-      cluster_->MarkMissed(r, epoch);
-      continue;
-    }
-    Result<TableEntry> replica_entry =
-        clients_[static_cast<size_t>(r)]->ShareTable(table);
-    if (!replica_entry.ok()) {
-      // See AllocTableMem: abort so recovery skips the failed epoch.
-      cluster_->AbortEntry(epoch);
-      return replica_entry.status();
-    }
-    if (!shared.has_value()) shared = std::move(replica_entry.value());
-    cluster_->MarkApplied(r, epoch);
-  }
-  if (!shared.has_value()) {
-    cluster_->AbortEntry(epoch);
-    return Status::Unavailable("no in-rotation replica for share");
-  }
+  FV_RETURN_IF_ERROR(
+      MirrorControl(entry, "share", [&](FarviewClient& replica, uint64_t) {
+        FV_ASSIGN_OR_RETURN(TableEntry replica_entry,
+                            replica.ShareTable(table));
+        if (!shared.has_value()) shared = std::move(replica_entry);
+        return Status::OK();
+      }));
   return std::move(*shared);
 }
 
 Result<SimTime> ClusterClient::TableWrite(const FTable& table,
                                           const Table& rows) {
-  std::optional<Result<SimTime>> out;
-  TableWriteAsync(table, rows,
-                  [&out](Result<SimTime> r) { out.emplace(std::move(r)); });
-  cluster_->engine()->Run();
-  FV_CHECK(out.has_value()) << "TableWrite did not complete";
-  return std::move(*out);
+  return RunSync<Result<SimTime>>(
+      cluster_->engine(), connected(),
+      [&](auto done) { TableWriteAsync(table, rows, std::move(done)); });
 }
 
 void ClusterClient::TableWriteAsync(
     const FTable& table, const Table& rows,
     std::function<void(Result<SimTime>)> done) {
-  FV_CHECK(!clients_.empty()) << "not connected";
-  if (!rows.schema().Equals(table.schema)) {
-    done(Status::InvalidArgument("row data does not match table schema"));
-    return;
-  }
-  if (rows.num_rows() != table.num_rows) {
-    done(Status::InvalidArgument("row count does not match table"));
+  Status valid = connected() ? CheckRowsMatch(table, rows) : NotConnected();
+  if (!valid.ok()) {
+    done(std::move(valid));
     return;
   }
   // Per-write control blocks recycle through the byte-block pool's size
-  // classes (DESIGN.md Â§8a) so a write-heavy steady state stays off the
+  // classes (DESIGN.md §8a) so a write-heavy steady state stays off the
   // global allocator.
   auto mw = std::allocate_shared<MirroredWrite>(PooledAllocator<MirroredWrite>());
   mw->vaddr = table.vaddr;
@@ -532,27 +494,19 @@ void ClusterClient::TableWriteAsync(
       cluster_->MarkMissed(r, mw->epoch);
     }
   }
-  if (mw->targets.empty()) {
-    // Nothing applied the write: abort the epoch so recovery skips it
-    // (otherwise a lone restarted replica would wait forever for a resync
-    // source holding bytes that never existed).
-    cluster_->AbortEntry(mw->epoch);
-    auto cb = std::move(mw->done);
-    cb(Status::Unavailable("no in-rotation replica for mirrored write"));
-    return;
-  }
   TryPrimaryWrite(std::move(mw));
 }
 
 void ClusterClient::TryPrimaryWrite(std::shared_ptr<MirroredWrite> mw) {
   if (mw->primary_pos >= mw->targets.size()) {
-    // Every candidate primary failed: no replica holds the bytes, so the
-    // epoch must not be resynced.
+    // No replica was in rotation, or every candidate primary failed: no
+    // replica holds the bytes, so abort the epoch and recovery skips it
+    // (a lone restarted replica would otherwise wait forever for a resync
+    // source holding bytes that never existed).
     cluster_->AbortEntry(mw->epoch);
-    auto cb = std::move(mw->done);
-    cb(mw->error.ok()
-           ? Status::Unavailable("mirrored write failed on every replica")
-           : mw->error);
+    Settle(mw->done, mw->error.ok() ? Status::Unavailable(
+                                          "no replica applied the mirrored write")
+                                    : mw->error);
     return;
   }
   const int primary = mw->targets[mw->primary_pos];
@@ -562,15 +516,14 @@ void ClusterClient::TryPrimaryWrite(std::shared_ptr<MirroredWrite> mw) {
       [this, mw, primary](Result<SimTime> res) {
         if (!res.ok()) {
           const Status& s = res.status();
-          if (!s.IsUnavailable() && !s.IsDeadlineExceeded()) {
+          if (ClassifyHop(s) != HopOutcome::kHealthFailure) {
             // Not a health signal (e.g. an MMU error on a stale vaddr):
             // the same request would fail on every replica, so fencing
             // the primary — and then each candidate in turn — would empty
             // the rotation over one bad write. No bytes landed anywhere;
             // abort the epoch and report the error to the caller.
             cluster_->AbortEntry(mw->epoch);
-            auto cb = std::move(mw->done);
-            cb(res.status());
+            Settle(mw->done, res.status());
             return;
           }
           // The primary died under the write: record the failover and try
@@ -586,11 +539,10 @@ void ClusterClient::TryPrimaryWrite(std::shared_ptr<MirroredWrite> mw) {
         mw->last_ack = res.value();
         // Primary acked: forward to the remaining live replicas in
         // parallel (the primary->secondary mirror hop).
-        mw->pending_mirrors =
-            static_cast<int>(mw->targets.size() - mw->primary_pos - 1);
-        if (mw->pending_mirrors == 0) {
-          auto cb = std::move(mw->done);
-          cb(mw->last_ack);
+        const size_t mirrors = mw->targets.size() - mw->primary_pos - 1;
+        mw->mirrors.Expect(mirrors);
+        if (mirrors == 0) {
+          Settle(mw->done, mw->last_ack);
           return;
         }
         for (size_t i = mw->primary_pos + 1; i < mw->targets.size(); ++i) {
@@ -611,51 +563,48 @@ void ClusterClient::TryPrimaryWrite(std::shared_ptr<MirroredWrite> mw) {
                       // resync from the primary is the repair either way.
                       cluster_->MarkMissed(secondary, mw->epoch);
                     }
-                    if (--mw->pending_mirrors == 0) {
-                      auto cb = std::move(mw->done);
-                      cb(mw->last_ack);
-                    }
+                    if (mw->mirrors.Arrive()) Settle(mw->done, mw->last_ack);
                   });
         }
       });
 }
 
 Status ClusterClient::LoadPipeline(PipelineFactory factory) {
-  std::optional<Status> out;
-  LoadPipelineAsync(std::move(factory),
-                    [&out](Status s) { out.emplace(std::move(s)); });
-  cluster_->engine()->Run();
-  FV_CHECK(out.has_value()) << "LoadPipeline did not complete";
-  return *out;
+  return RunSync<Status>(cluster_->engine(), connected(), [&](auto done) {
+    LoadPipelineAsync(std::move(factory), std::move(done));
+  });
 }
 
 void ClusterClient::LoadPipelineAsync(PipelineFactory factory,
                                       std::function<void(Status)> done) {
-  FV_CHECK(!clients_.empty()) << "not connected";
   FV_CHECK(factory != nullptr);
+  if (!connected()) {
+    done(NotConnected());
+    return;
+  }
   pipeline_factory_ = std::move(factory);
   const uint64_t version = ++pipeline_version_;
-  struct LoadAll {
-    int pending = 0;
-    Status error;
-    std::function<void(Status)> done;
-  };
-  auto state = std::make_shared<LoadAll>();
-  state->done = std::move(done);
   std::vector<int> targets;
   for (int r = 0; r < cluster_->num_replicas(); ++r) {
     if (cluster_->CanApply(r)) targets.push_back(r);
   }
   if (targets.empty()) {
-    state->done(Status::Unavailable("no in-rotation replica for load"));
+    done(Status::Unavailable("no in-rotation replica for load"));
     return;
   }
-  state->pending = static_cast<int>(targets.size());
+  struct LoadAll {
+    FanOutJoin join;
+    std::function<void(Status)> done;
+  };
+  auto state = std::make_shared<LoadAll>();
+  state->done = std::move(done);
+  state->join.Expect(targets.size());
   for (const int r : targets) {
     Result<Pipeline> pipeline = pipeline_factory_();
     if (!pipeline.ok()) {
-      if (state->error.ok()) state->error = pipeline.status();
-      if (--state->pending == 0) state->done(state->error);
+      if (state->join.Arrive(pipeline.status())) {
+        state->done(state->join.error());
+      }
       continue;
     }
     clients_[static_cast<size_t>(r)]->LoadPipelineAsync(
@@ -664,8 +613,7 @@ void ClusterClient::LoadPipelineAsync(PipelineFactory factory,
           if (*alive && loaded.ok()) {
             loaded_version_[static_cast<size_t>(r)] = version;
           }
-          if (!loaded.ok() && state->error.ok()) state->error = loaded;
-          if (--state->pending == 0) state->done(state->error);
+          if (state->join.Arrive(loaded)) state->done(state->join.error());
         });
   }
 }
@@ -680,33 +628,27 @@ void ClusterClient::OnRejoin(int replica, std::function<void()> done) {
     done();
     return;
   }
+  const uint64_t version = pipeline_version_;
+  auto reloaded = [alive = alive_, this, replica, version, done](Status s) {
+    if (*alive && !s.ok()) {
+      // The replica still rejoins (its bytes are in sync) but keeps a stale
+      // loaded_version_, so PickReplica fences it from operator traffic
+      // until a later LoadPipeline succeeds. Reads are unaffected.
+      FV_LOG(kWarning) << "pipeline reload failed during rejoin of replica "
+                       << replica << ": " << s.ToString()
+                       << "; replica serves reads only";
+    } else if (*alive && version == pipeline_version_) {
+      loaded_version_[static_cast<size_t>(replica)] = version;
+    }
+    done();
+  };
   Result<Pipeline> pipeline = pipeline_factory_();
   if (!pipeline.ok()) {
-    // The replica still rejoins (its bytes are in sync) but keeps a stale
-    // loaded_version_, so PickReplica fences it from operator traffic
-    // until a later LoadPipeline succeeds. Reads are unaffected.
-    FV_LOG(kWarning) << "pipeline factory failed during rejoin of replica "
-                     << replica << ": " << pipeline.status().ToString()
-                     << "; replica serves reads only";
-    done();
+    reloaded(pipeline.status());
     return;
   }
-  const uint64_t version = pipeline_version_;
   clients_[static_cast<size_t>(replica)]->LoadPipelineAsync(
-      std::move(pipeline.value()),
-      [alive = alive_, this, replica, version, done](Status loaded) {
-        if (*alive && loaded.ok() && version == pipeline_version_) {
-          loaded_version_[static_cast<size_t>(replica)] = version;
-        } else if (*alive && !loaded.ok()) {
-          // Same degraded mode as a factory failure: rejoin for reads,
-          // fenced from operator routing while the pipeline is stale.
-          FV_LOG(kWarning) << "pipeline reload failed during rejoin of "
-                           << "replica " << replica << ": "
-                           << loaded.ToString()
-                           << "; replica serves reads only";
-        }
-        done();
-      });
+      std::move(pipeline.value()), std::move(reloaded));
 }
 
 int ClusterClient::PickReplica(uint64_t tried_mask, Verb verb, bool* probe) {
@@ -730,6 +672,11 @@ int ClusterClient::PickReplica(uint64_t tried_mask, Verb verb, bool* probe) {
 }
 
 void ClusterClient::IssueRouted(std::shared_ptr<RoutedCall> call) {
+  if (!connected()) {
+    // Never connected, or closed while the call failed over.
+    Settle(call->done, NotConnected());
+    return;
+  }
   bool probe = false;
   const int r = PickReplica(call->tried_mask, call->verb, &probe);
   if (r < 0) {
@@ -739,12 +686,10 @@ void ClusterClient::IssueRouted(std::shared_ptr<RoutedCall> call) {
     // pool is healthy but saturated, and the retry-after hint must survive
     // to the caller's backoff (DESIGN.md §15).
     cluster_->node(0).stats().RecordFastFail();
-    auto cb = std::move(call->done);
-    if (!call->shed_error.ok()) {
-      cb(std::move(call->shed_error));
-      return;
-    }
-    cb(Status::Unavailable("no in-sync replica available (fast-fail)"));
+    Settle(call->done,
+           call->shed_error.ok()
+               ? Status::Unavailable("no in-sync replica available (fast-fail)")
+               : std::move(call->shed_error));
     return;
   }
   call->tried_mask |= uint64_t{1} << r;
@@ -754,38 +699,35 @@ void ClusterClient::IssueRouted(std::shared_ptr<RoutedCall> call) {
     CircuitBreaker& breaker = *breakers_[static_cast<size_t>(r)];
     // Read before any re-route: a failover hop overwrites `probe_hop`.
     const bool probe_hop = call->probe_hop;
-    if (res.ok()) {
-      breaker.RecordSuccess(probe_hop);
-      auto cb = std::move(call->done);
-      cb(std::move(res));
-      return;
+    switch (ClassifyHop(res.status())) {
+      case HopOutcome::kOk:
+        breaker.RecordSuccess(probe_hop);
+        break;
+      case HopOutcome::kShed:
+        // Shed load (DESIGN.md §15): the replica is healthy, just refusing
+        // work — no breaker penalty, no failover count. Rotate to another
+        // replica that may have headroom; remember the typed status so an
+        // exhausted rotation reports the shed (with its retry-after hint)
+        // rather than a generic fast-fail.
+        breaker.RecordShed(probe_hop);
+        call->shed_error = res.status();
+        IssueRouted(call);
+        return;
+      case HopOutcome::kRequestError:
+        // Not a health signal (bad request, schema mismatch): report it,
+        // don't penalize the replica. A probe hop still settles its slot
+        // as a success — the replica answered, the error is the request's
+        // fault — otherwise the slot would leak and a breaker whose every
+        // probe drew a bad request would wedge Half-Open forever.
+        if (probe_hop) breaker.RecordSuccess(/*probe=*/true);
+        break;
+      case HopOutcome::kHealthFailure:
+        breaker.RecordFailure(probe_hop);
+        cluster_->node(r).stats().RecordFailover();
+        IssueRouted(call);
+        return;
     }
-    const Status& s = res.status();
-    if (s.IsResourceExhausted()) {
-      // Shed load (DESIGN.md §15): the replica is healthy, just refusing
-      // work — no breaker penalty, no failover count. Rotate to another
-      // replica that may have headroom; remember the typed status so an
-      // exhausted rotation reports the shed (with its retry-after hint)
-      // rather than a generic fast-fail.
-      breaker.RecordShed(probe_hop);
-      call->shed_error = s;
-      IssueRouted(call);
-      return;
-    }
-    if (!s.IsUnavailable() && !s.IsDeadlineExceeded()) {
-      // Not a health signal (bad request, schema mismatch): report it,
-      // don't penalize the replica. A probe hop still settles its slot as
-      // a success — the replica answered, the error is the request's
-      // fault — otherwise the slot would leak and a breaker whose every
-      // probe drew a bad request would wedge Half-Open forever.
-      if (probe_hop) breaker.RecordSuccess(/*probe=*/true);
-      auto cb = std::move(call->done);
-      cb(std::move(res));
-      return;
-    }
-    breaker.RecordFailure(probe_hop);
-    cluster_->node(r).stats().RecordFailover();
-    IssueRouted(call);
+    Settle(call->done, std::move(res));
   };
   if (call->verb == Verb::kRead) {
     clients_[static_cast<size_t>(r)]->TableReadAsync(call->table,
@@ -797,17 +739,13 @@ void ClusterClient::IssueRouted(std::shared_ptr<RoutedCall> call) {
 }
 
 Result<FvResult> ClusterClient::TableRead(const FTable& table) {
-  std::optional<Result<FvResult>> out;
-  TableReadAsync(table,
-                 [&out](Result<FvResult> r) { out.emplace(std::move(r)); });
-  cluster_->engine()->Run();
-  FV_CHECK(out.has_value()) << "TableRead did not complete";
-  return std::move(*out);
+  return RunSync<Result<FvResult>>(
+      cluster_->engine(), connected(),
+      [&](auto done) { TableReadAsync(table, std::move(done)); });
 }
 
 void ClusterClient::TableReadAsync(
     const FTable& table, std::function<void(Result<FvResult>)> done) {
-  FV_CHECK(!clients_.empty()) << "not connected";
   auto call = std::allocate_shared<RoutedCall>(PooledAllocator<RoutedCall>());
   call->verb = Verb::kRead;
   call->table = table;
@@ -816,17 +754,13 @@ void ClusterClient::TableReadAsync(
 }
 
 Result<FvResult> ClusterClient::FarviewRequest(const FvRequest& request) {
-  std::optional<Result<FvResult>> out;
-  FarviewRequestAsync(
-      request, [&out](Result<FvResult> r) { out.emplace(std::move(r)); });
-  cluster_->engine()->Run();
-  FV_CHECK(out.has_value()) << "FarviewRequest did not complete";
-  return std::move(*out);
+  return RunSync<Result<FvResult>>(
+      cluster_->engine(), connected(),
+      [&](auto done) { FarviewRequestAsync(request, std::move(done)); });
 }
 
 void ClusterClient::FarviewRequestAsync(
     const FvRequest& request, std::function<void(Result<FvResult>)> done) {
-  FV_CHECK(!clients_.empty()) << "not connected";
   auto call = std::allocate_shared<RoutedCall>(PooledAllocator<RoutedCall>());
   call->verb = Verb::kFarview;
   call->request = request;
@@ -836,12 +770,7 @@ void ClusterClient::FarviewRequestAsync(
 
 FvRequest ClusterClient::ScanRequest(const FTable& table,
                                      bool vectorized) const {
-  FvRequest req;
-  req.vaddr = table.vaddr;
-  req.len = table.SizeBytes();
-  req.tuple_bytes = table.schema.tuple_width();
-  req.vectorized = vectorized;
-  return req;
+  return FullScanRequest(table, vectorized);
 }
 
 }  // namespace farview

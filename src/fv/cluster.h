@@ -304,6 +304,14 @@ class ClusterClient {
   void TryPrimaryWrite(std::shared_ptr<MirroredWrite> mw);
   /// Rejoin hook: reload the current pipeline on a recovered replica.
   void OnRejoin(int replica, std::function<void()> done);
+  /// Mirrors one control op (alloc/free/share): appends `entry` to the
+  /// replication log, runs `apply(replica_client, epoch)` on every
+  /// in-rotation replica and marks every replica applied or missed. A
+  /// failed apply, or no replica in rotation (`Unavailable`, naming
+  /// `what`), aborts the epoch so recovery never replays it.
+  template <typename Apply>
+  Status MirrorControl(FarviewCluster::LogEntry entry, const char* what,
+                       Apply apply);
 
   FarviewCluster* cluster_;
   int client_id_;

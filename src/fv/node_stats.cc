@@ -44,23 +44,6 @@ void NodeStats::RecordCompletion(const RequestContext& ctx) {
 
 void NodeStats::FoldRecord(const RequestRecord& rec) {
   completed_.push_back(rec);
-
-  if (rec.ingress_done > 0) {
-    ingress_.Add(static_cast<double>(rec.ingress_done - rec.submitted));
-  }
-  if (rec.region_start > 0) {
-    queue_wait_.Add(static_cast<double>(rec.region_start - rec.ingress_done));
-  }
-  if (rec.operator_done > 0 && rec.region_start > 0) {
-    execute_.Add(static_cast<double>(rec.operator_done - rec.region_start));
-  }
-  if (rec.delivered > 0 && rec.operator_done > 0) {
-    egress_.Add(static_cast<double>(rec.delivered - rec.operator_done));
-  }
-  if (rec.delivered > 0) {
-    total_.Add(static_cast<double>(rec.delivered - rec.submitted));
-  }
-
   QpStats& qp = per_qp_[rec.qp_id];
   ++qp.completed;
   qp.bytes_delivered += rec.bytes_on_wire;
@@ -68,6 +51,17 @@ void NodeStats::FoldRecord(const RequestRecord& rec) {
     qp.first_submitted = rec.submitted;
   }
   qp.last_delivered = std::max(qp.last_delivered, rec.delivered);
+}
+
+sim::SampleStats NodeStats::StageLatency(Stamp begin, Stamp end,
+                                        bool begin_required) const {
+  sim::SampleStats s;
+  for (const RequestRecord& rec : completed_) {
+    if (rec.*end > 0 && (!begin_required || rec.*begin > 0)) {
+      s.Add(static_cast<double>(rec.*end - rec.*begin));
+    }
+  }
+  return s;
 }
 
 void NodeStats::MergeFrom(const NodeStats& other) {
@@ -201,11 +195,11 @@ std::string NodeStats::FormatReport(SimTime now,
   out << "NodeStats: " << completed_.size() << " completed, " << failed_
       << " failed, " << rejected_ << " rejected\n";
   out << "  stage latency [us]        p50        p90        p99        max\n";
-  AppendStageRow(out, "ingress", ingress_);
-  AppendStageRow(out, "queue wait", queue_wait_);
-  AppendStageRow(out, "execute", execute_);
-  AppendStageRow(out, "egress+deliver", egress_);
-  AppendStageRow(out, "total", total_);
+  AppendStageRow(out, "ingress", ingress_latency());
+  AppendStageRow(out, "queue wait", queue_wait());
+  AppendStageRow(out, "execute", execute_latency());
+  AppendStageRow(out, "egress+deliver", egress_latency());
+  AppendStageRow(out, "total", total_latency());
   for (const auto& [qp_id, qp] : per_qp_) {
     char buf[192];
     const SimTime span = qp.last_delivered - qp.first_submitted;

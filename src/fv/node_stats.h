@@ -17,9 +17,9 @@ namespace farview {
 /// network stack, the region scheduler and the bench drivers.
 ///
 /// The registry aggregates, per node:
-///  - per-stage latency distributions over completed requests (ingress,
-///    queue wait, region execution, egress+delivery, end-to-end), built on
-///    `sim::SampleStats`;
+///  - one `RequestRecord` per completed request, from which the per-stage
+///    latency distributions (ingress, queue wait, region execution,
+///    egress+delivery, end-to-end) are built on demand;
 ///  - per-queue-pair throughput (requests, delivered bytes, rejections,
 ///    failures, queue-depth high-water marks);
 ///  - region busy time and, via the caller, egress-link utilization.
@@ -171,7 +171,8 @@ class NodeStats {
   /// Allocates the next node-unique request id (monotone from 1).
   uint64_t NextRequestId() { return ++last_request_id_; }
 
-  /// Folds a finished request into the distributions and appends its record.
+  /// Appends a finished request's record and folds it into the per-qp
+  /// aggregates.
   void RecordCompletion(const RequestContext& ctx);
 
   /// Per-partition merge (DESIGN.md §14): folds `other`'s telemetry into
@@ -269,12 +270,30 @@ class NodeStats {
   const ShardingStats& sharding() const { return sharding_; }
   const AdmissionStats& admission() const { return admission_; }
 
-  /// Stage distributions (latencies in picoseconds).
-  const sim::SampleStats& ingress_latency() const { return ingress_; }
-  const sim::SampleStats& queue_wait() const { return queue_wait_; }
-  const sim::SampleStats& execute_latency() const { return execute_; }
-  const sim::SampleStats& egress_latency() const { return egress_; }
-  const sim::SampleStats& total_latency() const { return total_; }
+  /// Stage distributions (latencies in picoseconds), built from the
+  /// completion records in completion order. A record counts toward a
+  /// stage only once it carries that stage's end stamp (and, for execute
+  /// and egress, its start stamp).
+  sim::SampleStats ingress_latency() const {
+    return StageLatency(&RequestRecord::submitted,
+                        &RequestRecord::ingress_done, false);
+  }
+  sim::SampleStats queue_wait() const {
+    return StageLatency(&RequestRecord::ingress_done,
+                        &RequestRecord::region_start, false);
+  }
+  sim::SampleStats execute_latency() const {
+    return StageLatency(&RequestRecord::region_start,
+                        &RequestRecord::operator_done, true);
+  }
+  sim::SampleStats egress_latency() const {
+    return StageLatency(&RequestRecord::operator_done,
+                        &RequestRecord::delivered, true);
+  }
+  sim::SampleStats total_latency() const {
+    return StageLatency(&RequestRecord::submitted, &RequestRecord::delivered,
+                        false);
+  }
 
   /// Accumulated busy time of `region_id` (0 when never busy).
   SimTime region_busy_time(int region_id) const;
@@ -286,8 +305,14 @@ class NodeStats {
 
  private:
   /// Shared tail of RecordCompletion and MergeFrom: appends `rec` and folds
-  /// it into the stage distributions and per-qp aggregates.
+  /// it into the per-qp aggregates.
   void FoldRecord(const RequestRecord& rec);
+
+  /// `end - begin` over every record with `end` stamped (and `begin` too
+  /// when `begin_required`).
+  using Stamp = SimTime RequestRecord::*;
+  sim::SampleStats StageLatency(Stamp begin, Stamp end,
+                                bool begin_required) const;
 
   uint64_t last_request_id_ = 0;
   uint64_t failed_ = 0;
@@ -299,12 +324,6 @@ class NodeStats {
   ReliabilityStats reliability_;
   ShardingStats sharding_;
   AdmissionStats admission_;
-
-  sim::SampleStats ingress_;
-  sim::SampleStats queue_wait_;
-  sim::SampleStats execute_;
-  sim::SampleStats egress_;
-  sim::SampleStats total_;
 };
 
 }  // namespace farview

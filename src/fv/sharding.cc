@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "fv/client_stack.h"
 #include "mem/mmu.h"
 
 namespace farview {
@@ -13,6 +14,25 @@ namespace {
 /// Golden-ratio mix keeping per-shard breaker jitter streams independent;
 /// shard 0 keeps the template seed unchanged (the 1-shard identity pin).
 constexpr uint64_t kShardSeedMix = 0x9E3779B97F4A7C15ull;
+
+/// Appends fragment `i`'s result to the gathered `out`. Fragments are
+/// gathered in row order, so concatenation restores the single-node bytes;
+/// `append_rows` is false when a merger folds the payloads instead. The
+/// timing fields span every fragment.
+void AppendFragment(size_t i, const FvResult& part, bool append_rows,
+                    FvResult* out) {
+  if (i == 0) {
+    out->issued_at = part.issued_at;
+    out->first_byte_at = part.first_byte_at;
+  }
+  if (append_rows) {
+    out->data.insert(out->data.end(), part.data.begin(), part.data.end());
+    out->rows += part.rows;
+  }
+  out->bytes_on_wire += part.bytes_on_wire;
+  out->completed_at = std::max(out->completed_at, part.completed_at);
+  out->first_byte_at = std::min(out->first_byte_at, part.first_byte_at);
+}
 
 }  // namespace
 
@@ -43,18 +63,12 @@ ShardedClient::ShardedClient(ShardedPool* pool, int client_id)
 }
 
 Status ShardedClient::OpenConnection() {
-  if (connected()) return Status::FailedPrecondition("already connected");
-  clients_.reserve(static_cast<size_t>(pool_->num_shards()));
-  for (int s = 0; s < pool_->num_shards(); ++s) {
-    auto client = std::make_unique<ClusterClient>(&pool_->shard(s), client_id_);
-    const Status st = client->OpenConnection();
-    if (!st.ok()) {
-      clients_.clear();
-      return st;
-    }
-    clients_.push_back(std::move(client));
-  }
-  return Status::OK();
+  return ConnectAll(
+      pool_->num_shards(),
+      [this](int s) {
+        return std::make_unique<ClusterClient>(&pool_->shard(s), client_id_);
+      },
+      &clients_);
 }
 
 void ShardedClient::CloseConnection() {
@@ -70,7 +84,7 @@ NodeStats& ShardedClient::ShardStats(int shard) {
 }
 
 Status ShardedClient::AllocTableMem(FTable* table, int home_shard) {
-  if (!connected()) return Status::FailedPrecondition("not connected");
+  if (!connected()) return NotConnected();
   if (table == nullptr || table->name.empty() || table->num_rows == 0 ||
       table->schema.tuple_width() == 0) {
     return Status::InvalidArgument(
@@ -104,15 +118,19 @@ Status ShardedClient::AllocTableMem(FTable* table, int home_shard) {
     st.fragments.push_back(std::move(frag));
   }
 
+  const uint64_t stride = pool_->config().shard_stride;
+  auto spans_boundary = [&](const Fragment& f) {
+    return Status::OutOfRange(
+        "allocation spans a shard boundary: fragment of '" + table->name +
+        "' does not fit shard " + std::to_string(f.shard) +
+        "'s address stripe");
+  };
   // Fast precheck: the shard-local allocator is bump-only starting at the
   // first page, so a fragment larger than `stride - page` can never fit its
   // stripe — reject before burning any (unreclaimable) address space.
   for (const Fragment& f : st.fragments) {
-    if (f.local.SizeBytes() + Mmu::kPageSize > pool_->config().shard_stride) {
-      return Status::OutOfRange(
-          "allocation spans a shard boundary: fragment of '" + table->name +
-          "' does not fit shard " + std::to_string(f.shard) +
-          "'s address stripe");
+    if (f.local.SizeBytes() + Mmu::kPageSize > stride) {
+      return spans_boundary(f);
     }
   }
 
@@ -136,12 +154,9 @@ Status ShardedClient::AllocTableMem(FTable* table, int home_shard) {
     // The stripe contract (DESIGN.md §13): a fragment never crosses its
     // shard's address stripe. Reject — do not silently split — so the
     // vaddr arithmetic stays bijective.
-    if (f.local.vaddr + f.local.SizeBytes() > pool_->config().shard_stride) {
+    if (f.local.vaddr + f.local.SizeBytes() > stride) {
       rollback(i + 1);
-      return Status::OutOfRange(
-          "allocation spans a shard boundary: fragment of '" + table->name +
-          "' does not fit shard " + std::to_string(f.shard) +
-          "'s address stripe");
+      return spans_boundary(f);
     }
   }
 
@@ -151,8 +166,9 @@ Status ShardedClient::AllocTableMem(FTable* table, int home_shard) {
   return Status::OK();
 }
 
-auto ShardedClient::Lookup(const FTable& table) const
+auto ShardedClient::Lookup(const FTable& table, bool freeing) const
     -> Result<const ShardedTable*> {
+  if (!connected()) return NotConnected();
   auto it = tables_.find(table.vaddr);
   if (it == tables_.end()) {
     return Status::NotFound("no sharded table at vaddr " +
@@ -166,17 +182,28 @@ auto ShardedClient::Lookup(const FTable& table) const
         "table currently registered at its address ('" + it->second.name +
         "')");
   }
+  // A free that failed part-way left only the fragments it could not free;
+  // until a retried free completes, the table has no whole row range.
+  if (!freeing && it->second.fragments.front().row_begin != 0) {
+    return Status::FailedPrecondition("table '" + table.name +
+                                      "' is partially freed");
+  }
   return &it->second;
 }
 
 Status ShardedClient::FreeTableMem(FTable* table) {
-  if (!connected()) return Status::FailedPrecondition("not connected");
   if (table == nullptr) return Status::InvalidArgument("null table");
-  FV_ASSIGN_OR_RETURN(const ShardedTable* st, Lookup(*table));
-  for (const Fragment& frag : st->fragments) {
-    FTable local = frag.local;
+  FV_RETURN_IF_ERROR(Lookup(*table, /*freeing=*/true).status());
+  // Drop each fragment from the shard map as it is freed: a free that fails
+  // on a later shard (no in-rotation replica) keeps exactly the unfreed
+  // fragments registered, so a retry frees those and nothing twice.
+  std::vector<Fragment>& frags = tables_.at(table->vaddr).fragments;
+  while (!frags.empty()) {
+    FTable local = frags.front().local;
     FV_RETURN_IF_ERROR(
-        clients_[static_cast<size_t>(frag.shard)]->FreeTableMem(&local));
+        clients_[static_cast<size_t>(frags.front().shard)]->FreeTableMem(
+            &local));
+    frags.erase(frags.begin());
   }
   tables_.erase(table->vaddr);
   table->vaddr = 0;
@@ -184,7 +211,6 @@ Status ShardedClient::FreeTableMem(FTable* table) {
 }
 
 Result<TableEntry> ShardedClient::ShareTable(const FTable& table) {
-  if (!connected()) return Status::FailedPrecondition("not connected");
   FV_ASSIGN_OR_RETURN(const ShardedTable* st, Lookup(table));
   std::optional<TableEntry> first;
   for (const Fragment& frag : st->fragments) {
@@ -207,9 +233,8 @@ void ShardedClient::TableWriteAsync(
     done(st.status());
     return;
   }
-  if (rows.num_rows() != table.num_rows ||
-      !rows.schema().Equals(table.schema)) {
-    done(Status::InvalidArgument("rows do not match the table handle"));
+  if (Status valid = CheckRowsMatch(table, rows); !valid.ok()) {
+    done(std::move(valid));
     return;
   }
   const std::vector<Fragment>& frags = st.value()->fragments;
@@ -226,38 +251,29 @@ void ShardedClient::TableWriteAsync(
   // Scatter: each shard gets exactly its row range. The slices live in the
   // shared state because the mirror hops read them after the primary ack.
   struct Scatter {
+    FanOutJoin join;
     std::vector<Table> slices;
-    size_t remaining = 0;
-    Status error;
     SimTime last_ack = 0;
     std::function<void(Result<SimTime>)> done;
   };
   auto sc = std::make_shared<Scatter>();
   sc->done = std::move(done);
-  sc->remaining = frags.size();
+  sc->join.Expect(frags.size());
+  sc->slices.reserve(frags.size());  // in-flight hops point into it
   const uint32_t width = rows.schema().tuple_width();
   for (const Fragment& frag : frags) {
     const uint8_t* begin = rows.data() + frag.row_begin * width;
-    ByteBuffer bytes(begin, begin + frag.local.num_rows * width);
-    Result<Table> slice = Table::FromBytes(rows.schema(), std::move(bytes));
+    Result<Table> slice = Table::FromBytes(
+        rows.schema(), ByteBuffer(begin, begin + frag.local.num_rows * width));
     FV_CHECK(slice.ok()) << slice.status().ToString();
     sc->slices.push_back(std::move(slice).value());
-  }
-  for (size_t i = 0; i < frags.size(); ++i) {
-    const Fragment& frag = frags[i];
     ShardStats(frag.shard).RecordFragmentWrite();
     clients_[static_cast<size_t>(frag.shard)]->TableWriteAsync(
-        frag.local, sc->slices[i], [sc](Result<SimTime> r) {
-          if (r.ok()) {
-            sc->last_ack = std::max(sc->last_ack, r.value());
-          } else if (sc->error.ok()) {
-            sc->error = r.status();
-          }
-          if (--sc->remaining > 0) return;
-          if (sc->error.ok()) {
-            sc->done(sc->last_ack);
-          } else {
-            sc->done(sc->error);
+        frag.local, sc->slices.back(), [sc](Result<SimTime> r) {
+          if (r.ok()) sc->last_ack = std::max(sc->last_ack, r.value());
+          if (sc->join.Arrive(r.status())) {
+            sc->done(sc->join.error().ok() ? Result<SimTime>(sc->last_ack)
+                                           : sc->join.error());
           }
         });
   }
@@ -265,12 +281,9 @@ void ShardedClient::TableWriteAsync(
 
 Result<SimTime> ShardedClient::TableWrite(const FTable& table,
                                           const Table& rows) {
-  std::optional<Result<SimTime>> result;
-  TableWriteAsync(table, rows,
-                  [&](Result<SimTime> r) { result.emplace(std::move(r)); });
-  pool_->engine()->Run();
-  FV_CHECK(result.has_value()) << "write did not complete";
-  return *std::move(result);
+  return RunSync<Result<SimTime>>(
+      pool_->engine(), connected(),
+      [&](auto done) { TableWriteAsync(table, rows, std::move(done)); });
 }
 
 void ShardedClient::TableReadAsync(
@@ -296,15 +309,14 @@ void ShardedClient::TableReadAsync(
   // Gather: all fragments in parallel; concatenating in fragment order
   // restores row order because the partition is a contiguous range split.
   struct Gather {
+    FanOutJoin join;
     std::vector<std::optional<FvResult>> parts;
-    size_t remaining = 0;
-    Status error;
     std::function<void(Result<FvResult>)> done;
   };
   auto g = std::make_shared<Gather>();
   g->done = std::move(done);
   g->parts.resize(frags.size());
-  g->remaining = frags.size();
+  g->join.Expect(frags.size());
   for (size_t i = 0; i < frags.size(); ++i) {
     const Fragment& frag = frags[i];
     const int shard = frag.shard;
@@ -313,25 +325,15 @@ void ShardedClient::TableReadAsync(
           if (r.ok()) {
             ShardStats(shard).RecordFragmentRead(r.value().data.size());
             g->parts[i] = std::move(r).value();
-          } else if (g->error.ok()) {
-            g->error = r.status();
           }
-          if (--g->remaining > 0) return;
-          if (!g->error.ok()) {
-            g->done(g->error);
+          if (!g->join.Arrive(r.status())) return;
+          if (!g->join.error().ok()) {
+            g->done(g->join.error());
             return;
           }
           FvResult out;
-          out.issued_at = g->parts[0]->issued_at;
-          out.first_byte_at = g->parts[0]->first_byte_at;
-          for (std::optional<FvResult>& part : g->parts) {
-            out.data.insert(out.data.end(), part->data.begin(),
-                            part->data.end());
-            out.rows += part->rows;
-            out.bytes_on_wire += part->bytes_on_wire;
-            out.completed_at = std::max(out.completed_at, part->completed_at);
-            out.first_byte_at =
-                std::min(out.first_byte_at, part->first_byte_at);
+          for (size_t k = 0; k < g->parts.size(); ++k) {
+            AppendFragment(k, *g->parts[k], /*append_rows=*/true, &out);
           }
           g->done(std::move(out));
         });
@@ -339,94 +341,60 @@ void ShardedClient::TableReadAsync(
 }
 
 Result<FvResult> ShardedClient::TableRead(const FTable& table) {
-  std::optional<Result<FvResult>> result;
-  TableReadAsync(table,
-                 [&](Result<FvResult> r) { result.emplace(std::move(r)); });
-  pool_->engine()->Run();
-  FV_CHECK(result.has_value()) << "read did not complete";
-  return *std::move(result);
-}
-
-void ShardedClient::LoadOnShards(std::vector<int> shards,
-                                 PipelineFactory factory,
-                                 std::function<void(Status)> done) {
-  struct Load {
-    size_t remaining = 0;
-    Status error;
-    std::function<void(Status)> done;
-  };
-  auto ld = std::make_shared<Load>();
-  ld->remaining = shards.size();
-  ld->done = std::move(done);
-  for (const int s : shards) {
-    clients_[static_cast<size_t>(s)]->LoadPipelineAsync(
-        factory, [ld](Status st) {
-          if (!st.ok() && ld->error.ok()) ld->error = st;
-          if (--ld->remaining > 0) return;
-          ld->done(ld->error);
-        });
-  }
+  return RunSync<Result<FvResult>>(
+      pool_->engine(), connected(),
+      [&](auto done) { TableReadAsync(table, std::move(done)); });
 }
 
 Result<FvResult> ShardedClient::OffloadGather(const ShardedTable& st,
                                               PipelineFactory factory,
                                               bool vectorized,
                                               PartialMerger* merger) {
-  if (!connected()) return Status::FailedPrecondition("not connected");
-  std::vector<int> shards;
-  for (const Fragment& frag : st.fragments) shards.push_back(frag.shard);
-
-  struct Offload {
-    std::vector<std::optional<FvResult>> parts;
-    size_t remaining = 0;
-    Status error;
-    bool settled = false;
-  };
-  auto off = std::make_shared<Offload>();
-  off->parts.resize(st.fragments.size());
-  LoadOnShards(shards, std::move(factory), [&, off](Status load) {
-    if (!load.ok()) {
-      off->error = load;
-      off->settled = true;
-      return;
-    }
-    off->remaining = st.fragments.size();
-    for (size_t i = 0; i < st.fragments.size(); ++i) {
-      const Fragment& frag = st.fragments[i];
-      ClusterClient& cc = *clients_[static_cast<size_t>(frag.shard)];
-      cc.FarviewRequestAsync(
-          cc.ScanRequest(frag.local, vectorized),
-          [off, i](Result<FvResult> r) {
-            if (r.ok()) {
-              off->parts[i] = std::move(r).value();
-            } else if (off->error.ok()) {
-              off->error = r.status();
-            }
-            if (--off->remaining == 0) off->settled = true;
-          });
-    }
-  });
-  pool_->engine()->Run();
-  FV_CHECK(off->settled) << "sharded offload did not complete";
-  FV_RETURN_IF_ERROR(off->error);
+  // Load the pipeline on every fragment's shard; once every load is in,
+  // scan each fragment. The call is synchronous, so both joins and the
+  // parts live on this frame: once it settles, every hop has arrived.
+  const size_t n = st.fragments.size();
+  FanOutJoin loads;
+  FanOutJoin scans;
+  std::vector<std::optional<FvResult>> parts(n);
+  FV_RETURN_IF_ERROR(RunSync<Status>(
+      pool_->engine(), connected(), [&](auto done) {
+        auto scan_all = [&, done]() {
+          if (!loads.error().ok()) {
+            done(loads.error());
+            return;
+          }
+          scans.Expect(n);
+          for (size_t i = 0; i < n; ++i) {
+            const Fragment& frag = st.fragments[i];
+            ClusterClient& cc = *clients_[static_cast<size_t>(frag.shard)];
+            cc.FarviewRequestAsync(
+                cc.ScanRequest(frag.local, vectorized),
+                [&scans, &parts, i, done](Result<FvResult> r) {
+                  if (r.ok()) parts[i] = std::move(r).value();
+                  if (scans.Arrive(r.status())) done(scans.error());
+                });
+          }
+        };
+        loads.Expect(n);
+        for (const Fragment& frag : st.fragments) {
+          clients_[static_cast<size_t>(frag.shard)]->LoadPipelineAsync(
+              factory, [&loads, scan_all](Status loaded) {
+                if (loads.Arrive(loaded)) scan_all();
+              });
+        }
+      }));
 
   FvResult out;
-  out.issued_at = off->parts[0]->issued_at;
-  out.first_byte_at = off->parts[0]->first_byte_at;
-  for (size_t i = 0; i < st.fragments.size(); ++i) {
-    FvResult& part = *off->parts[i];
+  for (size_t i = 0; i < n; ++i) {
+    FvResult& part = *parts[i];
     NodeStats& stats = ShardStats(st.fragments[i].shard);
     stats.RecordFragmentOffload(part.data.size());
     if (merger != nullptr) {
       stats.RecordPartialGroups(part.rows);
       FV_RETURN_IF_ERROR(merger->Consume(part.data.data(), part.data.size()));
-    } else {
-      out.data.insert(out.data.end(), part.data.begin(), part.data.end());
-      out.rows += part.rows;
     }
-    out.bytes_on_wire += part.bytes_on_wire;
-    out.completed_at = std::max(out.completed_at, part.completed_at);
-    out.first_byte_at = std::min(out.first_byte_at, part.first_byte_at);
+    AppendFragment(i, part, /*append_rows=*/merger == nullptr, &out);
   }
   if (merger != nullptr) {
     out.rows = merger->num_groups();

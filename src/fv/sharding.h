@@ -142,7 +142,8 @@ class ShardedClient {
   /// Frees every fragment and drops the shard-map entry. Fails with
   /// `FailedPrecondition` when the handle's vaddr was remapped (freed and
   /// reallocated to a different table) — a stale handle must never free
-  /// another table's memory.
+  /// another table's memory. A free that fails on a later shard keeps only
+  /// the unfreed fragments registered; retrying it frees exactly those.
   Status FreeTableMem(FTable* table);
 
   /// Shares every fragment; returns a catalog entry carrying the global
@@ -207,13 +208,11 @@ class ShardedClient {
   };
 
   /// Shard-map lookup with the remap guard (vaddr, name and row count must
-  /// all match the registered table).
-  Result<const ShardedTable*> Lookup(const FTable& table) const;
-
-  /// Loads `factory`'s pipeline on every shard in `shards`, then invokes
-  /// `done` with the first error or OK.
-  void LoadOnShards(std::vector<int> shards, PipelineFactory factory,
-                    std::function<void(Status)> done);
+  /// all match the registered table). `NotConnected()` on an unconnected
+  /// client. A table a failed free left partially freed is found only
+  /// when `freeing`.
+  Result<const ShardedTable*> Lookup(const FTable& table,
+                                     bool freeing = false) const;
 
   /// Issues the factory pipeline + per-fragment scans on every fragment
   /// shard and gathers the fragment results in row order. `merger`, when

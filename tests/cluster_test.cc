@@ -701,6 +701,43 @@ TEST(ClusterTest, FailedConnectionLeavesClientDisconnected) {
   EXPECT_FALSE(client.connected());
 }
 
+TEST(ClusterTest, UnconnectedClientFailsPrecondition) {
+  // Every data-path call on a client that never connected settles with
+  // FailedPrecondition; async forms deliver it at the calling instant.
+  sim::Engine engine;
+  FarviewCluster cluster(&engine, TestConfig(2));
+  ClusterClient client(&cluster, 1);
+  const Table rows = MakeRows(64 * kKiB);
+  FTable ft;
+  ft.name = "t";
+  ft.schema = rows.schema();
+  ft.num_rows = rows.num_rows();
+  const PipelineFactory factory = [schema = ft.schema]() {
+    return PipelineBuilder(schema).Build();
+  };
+
+  EXPECT_TRUE(client.TableWrite(ft, rows).status().IsFailedPrecondition());
+  EXPECT_TRUE(client.TableRead(ft).status().IsFailedPrecondition());
+  EXPECT_TRUE(client.LoadPipeline(factory).IsFailedPrecondition());
+  EXPECT_TRUE(client.FarviewRequest(client.ScanRequest(ft))
+                  .status()
+                  .IsFailedPrecondition());
+  std::vector<Status> settled;
+  client.TableWriteAsync(
+      ft, rows, [&](Result<SimTime> r) { settled.push_back(r.status()); });
+  client.TableReadAsync(
+      ft, [&](Result<FvResult> r) { settled.push_back(r.status()); });
+  client.LoadPipelineAsync(factory,
+                           [&](Status s) { settled.push_back(s); });
+  client.FarviewRequestAsync(client.ScanRequest(ft), [&](Result<FvResult> r) {
+    settled.push_back(r.status());
+  });
+  ASSERT_EQ(settled.size(), 4u);
+  for (const Status& s : settled) {
+    EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
+  }
+}
+
 TEST(ClusterTest, RejoinWithFailedPipelineReloadServesReadsOnly) {
   // Regression: a replica whose rejoin pipeline reload fails re-enters
   // rotation for reads (its bytes are in sync) but must be fenced from

@@ -74,6 +74,47 @@ TEST_F(FvNodeTest, DoubleOpenFails) {
   EXPECT_TRUE(client_.OpenConnection().IsFailedPrecondition());
 }
 
+TEST_F(FvNodeTest, UnconnectedClientFailsPrecondition) {
+  // Every data-path call on a closed client settles with FailedPrecondition;
+  // async forms deliver it through `done` at the calling instant.
+  client_.CloseConnection();
+  TableGenerator gen(3);
+  Result<Table> rows = gen.Uniform(Schema::DefaultWideRow(), 64, 100);
+  ASSERT_TRUE(rows.ok());
+  FTable ft;
+  ft.name = "t";
+  ft.schema = rows.value().schema();
+  ft.num_rows = rows.value().num_rows();
+
+  EXPECT_TRUE(client_.TableWrite(ft, rows.value())
+                  .status()
+                  .IsFailedPrecondition());
+  EXPECT_TRUE(client_.TableRead(ft).status().IsFailedPrecondition());
+  Result<Pipeline> p = PipelineBuilder(ft.schema).Build();
+  ASSERT_TRUE(p.ok());
+  EXPECT_TRUE(
+      client_.LoadPipeline(std::move(p).value()).IsFailedPrecondition());
+  EXPECT_TRUE(client_.FarviewRequest(client_.ScanRequest(ft))
+                  .status()
+                  .IsFailedPrecondition());
+  EXPECT_TRUE(client_.FvSelect(ft, {}).status().IsFailedPrecondition());
+
+  std::vector<Status> settled;
+  client_.TableReadAsync(
+      ft, [&](Result<FvResult> r) { settled.push_back(r.status()); });
+  client_.FarviewRequestAsync(client_.ScanRequest(ft), [&](Result<FvResult> r) {
+    settled.push_back(r.status());
+  });
+  Result<Pipeline> q = PipelineBuilder(ft.schema).Build();
+  ASSERT_TRUE(q.ok());
+  client_.LoadPipelineAsync(std::move(q).value(),
+                            [&](Status s) { settled.push_back(s); });
+  ASSERT_EQ(settled.size(), 3u);
+  for (const Status& s : settled) {
+    EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Memory management + table round trip
 // ---------------------------------------------------------------------------

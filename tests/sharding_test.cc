@@ -206,6 +206,137 @@ TEST(ShardingTest, AllShardsDownFastFailsAtTheIssuingInstant) {
   }
 }
 
+TEST(ShardingTest, OneShardDownFanOutsSettleOnceWithUnavailable) {
+  // Partial failure: shard 1's only replica is crashed while shard 0
+  // serves. Every fan-out (scattered write, gathered read, offloaded
+  // select and group-by) must settle exactly once with the down shard's
+  // Unavailable — never with the healthy shard's partial result, and never
+  // twice when the healthy hop arrives after the failed one.
+  ShardedConfig sc = TestConfig(2);
+  sc.cluster.node.faults.enabled = true;
+  sc.cluster.node.faults.node_crash_at = 500 * kMicrosecond;
+  sc.faulted_shard = 1;
+  sim::Engine engine;
+  ShardedPool pool(&engine, sc);
+  ShardedClient client(&pool, 1);
+  ASSERT_TRUE(client.OpenConnection().ok());
+  const Table rows = MakeRows(256 * kKiB);
+  FTable ft = AllocOnly(client, rows);
+
+  int write_settles = 0;
+  int read_settles = 0;
+  std::optional<Status> wrote;
+  std::optional<Status> read;
+  engine.ScheduleAt(1 * kMillisecond, [&]() {
+    client.TableWriteAsync(ft, rows, [&](Result<SimTime> r) {
+      ++write_settles;
+      wrote.emplace(r.status());
+    });
+    client.TableReadAsync(ft, [&](Result<FvResult> r) {
+      ++read_settles;
+      read.emplace(r.status());
+    });
+  });
+  engine.Run();
+  EXPECT_EQ(write_settles, 1);
+  EXPECT_EQ(read_settles, 1);
+  ASSERT_TRUE(wrote.has_value());
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(wrote->IsUnavailable()) << wrote->ToString();
+  EXPECT_TRUE(read->IsUnavailable()) << read->ToString();
+
+  const Result<FvResult> selected =
+      client.FvSelect(ft, {Predicate::Int(0, CompareOp::kLt, 50)});
+  EXPECT_TRUE(selected.status().IsUnavailable())
+      << selected.status().ToString();
+  const Result<FvResult> grouped =
+      client.FvGroupBy(ft, {0}, {AggSpec::Count(), AggSpec::Sum(1)});
+  EXPECT_TRUE(grouped.status().IsUnavailable())
+      << grouped.status().ToString();
+
+  // The healthy shard applied its write fragment and served its read
+  // fragment; the down shard served nothing. Neither ran an operator
+  // fragment: the pipeline load already failed on the down shard, so no
+  // scan was issued anywhere.
+  const NodeStats::ShardingStats& up = pool.shard(0).node(0).stats().sharding();
+  EXPECT_EQ(up.fragment_writes, 1u);
+  EXPECT_EQ(up.fragment_reads, 1u);
+  EXPECT_EQ(up.fragment_offloads, 0u);
+  const NodeStats::ShardingStats& down =
+      pool.shard(1).node(0).stats().sharding();
+  EXPECT_EQ(down.fragment_reads, 0u);
+  EXPECT_EQ(down.fragment_offloads, 0u);
+}
+
+TEST(ShardingTest, FreeDuringShardOutageRetriesOnlyUnfreedFragments) {
+  // Regression: a free that fails on a later shard must keep exactly the
+  // fragments it could not free registered. Keeping the whole entry made
+  // the retry re-free fragment 0 (NotFound) and leak the rest for good.
+  ShardedConfig sc = TestConfig(2);
+  sc.cluster.node.faults.enabled = true;
+  sc.cluster.node.faults.node_crash_at = 500 * kMicrosecond;
+  sc.cluster.node.faults.node_restart_at = 2 * kMillisecond;
+  sc.faulted_shard = 1;
+  sim::Engine engine;
+  ShardedPool pool(&engine, sc);
+  ShardedClient client(&pool, 1);
+  ASSERT_TRUE(client.OpenConnection().ok());
+  const Table rows = MakeRows(256 * kKiB);
+  FTable ft = AllocOnly(client, rows);
+  const uint64_t vaddr = ft.vaddr;
+
+  std::optional<Status> during_outage;
+  engine.ScheduleAt(1 * kMillisecond,
+                    [&]() { during_outage.emplace(client.FreeTableMem(&ft)); });
+  engine.Run();
+  ASSERT_TRUE(during_outage.has_value());
+  EXPECT_TRUE(during_outage->IsUnavailable()) << during_outage->ToString();
+  EXPECT_EQ(ft.vaddr, vaddr) << "a failed free must keep the handle";
+  ASSERT_TRUE(pool.shard(1).InSync(0)) << "shard 1 never rejoined";
+  // Half freed, the table no longer has a whole row range to serve.
+  EXPECT_TRUE(client.TableRead(ft).status().IsFailedPrecondition());
+
+  const Status retried = client.FreeTableMem(&ft);
+  EXPECT_TRUE(retried.ok()) << retried.ToString();
+  EXPECT_EQ(ft.vaddr, 0u);
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_EQ(pool.shard(s).node(0).mmu().allocated_bytes(), 0u)
+        << "shard " << s;
+  }
+}
+
+TEST(ShardingTest, UnconnectedClientFailsPrecondition) {
+  ShardedConfig sc = TestConfig(2);
+  sim::Engine engine;
+  ShardedPool pool(&engine, sc);
+  ShardedClient client(&pool, 1);
+  const Table rows = MakeRows(64 * kKiB);
+  FTable ft;
+  ft.name = "t";
+  ft.schema = rows.schema();
+  ft.num_rows = rows.num_rows();
+  ft.vaddr = Mmu::kPageSize;
+
+  EXPECT_TRUE(client.TableWrite(ft, rows).status().IsFailedPrecondition());
+  EXPECT_TRUE(client.TableRead(ft).status().IsFailedPrecondition());
+  EXPECT_TRUE(client.FvSelect(ft, {}).status().IsFailedPrecondition());
+  EXPECT_TRUE(client.FvGroupBy(ft, {0}, {AggSpec::Count()})
+                  .status()
+                  .IsFailedPrecondition());
+  EXPECT_TRUE(client.FvJoin(ft, 0, ft, 0).status().IsFailedPrecondition());
+  // Async calls settle through `done` at the calling instant.
+  std::optional<Status> wrote;
+  std::optional<Status> read;
+  client.TableWriteAsync(ft, rows,
+                         [&](Result<SimTime> r) { wrote.emplace(r.status()); });
+  client.TableReadAsync(ft,
+                        [&](Result<FvResult> r) { read.emplace(r.status()); });
+  ASSERT_TRUE(wrote.has_value());
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(wrote->IsFailedPrecondition()) << wrote->ToString();
+  EXPECT_TRUE(read->IsFailedPrecondition()) << read->ToString();
+}
+
 TEST(ShardingTest, ShardedSelectMatchesSingleNodeOffload) {
   const Table rows = MakeRows(256 * kKiB);
   const std::vector<Predicate> preds = {
