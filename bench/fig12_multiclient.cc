@@ -70,7 +70,9 @@ SimTime FvBatch(uint64_t rows_per_client, uint64_t seed,
     clients[static_cast<size_t>(i)]->FarviewRequestAsync(
         clients[static_cast<size_t>(i)]->ScanRequest(
             tables[static_cast<size_t>(i)]),
-        [&all_done, &completed](Result<FvResult> r) {
+        // By const reference: a by-value Result here trips GCC 12's
+        // -Wmaybe-uninitialized in the TSan build.
+        [&all_done, &completed](const Result<FvResult>& r) {
           if (r.ok()) {
             all_done = std::max(all_done, r.value().completed_at);
             ++completed;

@@ -21,8 +21,12 @@
 // events/sec, ns/event, and — when the counting allocator hook is linked and
 // active (see common/alloc_counter.h) — heap allocations per event. Output
 // is a human-readable table on stdout plus a JSON report (default
-// BENCH_simcore.json, override with FV_BENCH_JSON; FV_BENCH_JSON=- skips the
-// file) consumed by scripts/bench_report.sh and the CI perf-smoke job.
+// BENCH_simcore.new.json in the working directory, override with
+// FV_BENCH_JSON; FV_BENCH_JSON=- skips the file) consumed by
+// scripts/bench_report.sh and the CI perf-smoke job. The default never
+// names the committed baseline BENCH_simcore.json, so a plain run from the
+// repo root cannot overwrite it; refreshing the baseline is an explicit
+// FV_BENCH_JSON=BENCH_simcore.json.
 
 #include <chrono>
 #include <cstdint>
@@ -508,7 +512,7 @@ void Run() {
   }
 
   const char* path = std::getenv("FV_BENCH_JSON");
-  std::string out_path = path != nullptr ? path : "BENCH_simcore.json";
+  std::string out_path = path != nullptr ? path : "BENCH_simcore.new.json";
   if (out_path != "-") {
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f != nullptr) {

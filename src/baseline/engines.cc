@@ -47,17 +47,18 @@ Result<BaselineResult> LocalEngine::Execute(const Table& input,
   FV_ASSIGN_OR_RETURN(Pipeline pipeline,
                       spec.BuildPipeline(input.schema()));
 
-  // Functional execution: the whole table as one batch, then flush.
-  Batch batch = Batch::Empty(&pipeline.input_schema());
-  batch.data = input.bytes();
-  batch.num_rows = input.num_rows();
+  // Functional execution: the whole table as one batch borrowing the input
+  // rows, then flush.
+  Batch batch = Batch::Borrow(&pipeline.input_schema(), input.data(),
+                              input.num_rows());
   FV_ASSIGN_OR_RETURN(Batch streamed, pipeline.Process(std::move(batch)));
   FV_ASSIGN_OR_RETURN(Batch flushed, pipeline.Flush());
 
   BaselineResult res;
   res.output_schema = pipeline.output_schema();
+  streamed.Own();
   res.data = std::move(streamed.data);
-  res.data.insert(res.data.end(), flushed.data.begin(), flushed.data.end());
+  AppendBytes(&res.data, flushed.bytes(), flushed.size_bytes());
   res.rows = streamed.num_rows + flushed.num_rows;
 
   // --- Timing --------------------------------------------------------------

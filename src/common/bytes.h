@@ -236,6 +236,18 @@ class PooledAllocator {
 /// growth is required (see PooledByteAllocator::construct).
 using ByteBuffer = std::vector<uint8_t, PooledByteAllocator>;
 
+/// Appends `len` bytes at `src` to `*out` with one default-initializing
+/// resize and one memcpy. Prefer it to `insert(end, first, last)` on the
+/// payload path: PooledByteAllocator is not `std::allocator`, so libstdc++'s
+/// range insert falls back to a per-element construct loop, which GCC
+/// compiles to a one-byte-per-iteration copy.
+inline void AppendBytes(ByteBuffer* out, const uint8_t* src, std::size_t len) {
+  if (len == 0) return;
+  const std::size_t old_size = out->size();
+  out->resize(old_size + len);
+  std::memcpy(out->data() + old_size, src, len);
+}
+
 /// Reads a little-endian 64-bit unsigned integer at `p`.
 inline uint64_t LoadLE64(const uint8_t* p) {
   uint64_t v;

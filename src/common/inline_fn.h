@@ -194,7 +194,10 @@ class InlineFn<R(Args...)> {
     }
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  /// Zero-initialized: Relocate copies all of it, and copying bytes a
+  /// small capture never wrote would read indeterminate values (GCC's
+  /// -Wmaybe-uninitialized rejects that under sanitizer builds).
+  alignas(std::max_align_t) unsigned char storage_[kInlineBytes] = {};
   const Ops* ops_ = nullptr;
 };
 

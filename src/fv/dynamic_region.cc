@@ -1,6 +1,7 @@
 #include "fv/dynamic_region.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/logging.h"
@@ -57,9 +58,10 @@ struct DynamicRegion::ExecState {
   RequestContextPtr ctx;
   bool plain_read = false;
 
-  /// Functionally materialized input stream (whole tuples, or the
-  /// smart-addressing extraction), consumed in order by the datapath.
-  ByteBuffer stream;
+  /// Length of the input stream (whole tuples, or the smart-addressing
+  /// extraction) and how much of it the datapath has consumed. Bytes are
+  /// read from memory as each burst is processed (BurstBytes).
+  uint64_t stream_len = 0;
   uint64_t stream_cursor = 0;
 
   /// Private datapath server for this request (rate depends on
@@ -150,38 +152,24 @@ void DynamicRegion::Execute(RequestContextPtr ctx,
   st->on_result = std::move(on_result);
   st->result.issued_at = ctx->submitted;
 
-  // Functional materialization of the input stream (and access check).
-  // `on_result` now lives in the state object, so failures from here on
-  // must route through it, not through `fail`.
-  auto fail_st = [this, st](Status s) {
-    engine_->ScheduleAfter(0, [st, s]() { st->on_result(s); });
-  };
-  // Take the recycled buffer (FinishStream returns it): its warm pages make
-  // the materialization a single copy pass instead of fault + zero + copy.
-  st->stream = std::move(stream_pool_);
-  st->stream.clear();
+  // Access check for the whole input up front; the bytes themselves are
+  // read burst by burst. `on_result` now lives in the state object, so
+  // failures from here on must route through it, not through `fail`.
   const uint64_t rows = request.len / request.tuple_bytes;
-  if (request.smart_addressing) {
-    st->stream.resize(rows * request.sa_access_bytes);
-    for (uint64_t r = 0; r < rows; ++r) {
-      const Status s = mmu_->Read(
-          ctx->client_id,
-          request.vaddr + r * request.tuple_bytes + request.sa_offset,
-          request.sa_access_bytes,
-          st->stream.data() + r * request.sa_access_bytes);
-      if (!s.ok()) {
-        fail_st(s);
-        return;
-      }
-    }
-  } else {
-    const Status s =
-        mmu_->ReadInto(ctx->client_id, request.vaddr, request.len,
-                       &st->stream);
-    if (!s.ok()) {
-      fail_st(s);
-      return;
-    }
+  st->stream_len =
+      request.smart_addressing ? rows * request.sa_access_bytes : request.len;
+  Status access = Status::OK();
+  if (!request.smart_addressing) {
+    access = mmu_->CheckAccess(ctx->client_id, request.vaddr, request.len);
+  } else if (rows > 0) {
+    // First access window through the last.
+    access = mmu_->CheckAccess(
+        ctx->client_id, request.vaddr + request.sa_offset,
+        (rows - 1) * request.tuple_bytes + request.sa_access_bytes);
+  }
+  if (!access.ok()) {
+    engine_->ScheduleAfter(0, [st, access]() { st->on_result(access); });
+    return;
   }
 
   EnterBusy(ctx);
@@ -235,41 +223,77 @@ void DynamicRegion::OnBurstProcessed(std::shared_ptr<ExecState> st,
   if (st->failed) return;
   ++st->pipe_chunks_done;
   // Functional processing: the next `bytes` of the stream clear the
-  // datapath now.
+  // datapath now, read from memory as they leave it.
   const uint64_t n =
-      std::min<uint64_t>(bytes, st->stream.size() - st->stream_cursor);
-  Batch batch = st->parser->Push(st->stream.data() + st->stream_cursor, n);
+      std::min<uint64_t>(bytes, st->stream_len - st->stream_cursor);
+  Result<const uint8_t*> in = BurstBytes(*st, n);
+  if (!in.ok()) {
+    FailStream(st, in.status());
+    return;
+  }
+  Batch batch = st->parser->Push(in.value(), n);
   st->stream_cursor += n;
   Result<Batch> out = pipeline_->Process(std::move(batch));
   if (!out.ok()) {
-    st->failed = true;
-    ReleaseBusy();
-    st->on_result(out.status());
+    FailStream(st, out.status());
     return;
   }
-  st->result.data.insert(st->result.data.end(), out.value().data.begin(),
-                         out.value().data.end());
+  AppendBytes(&st->result.data, out.value().bytes(),
+              out.value().size_bytes());
   st->result.rows += out.value().num_rows;
   if (out.value().size_bytes() > 0) {
     st->tx->Push(out.value().size_bytes());
   }
   if (st->input_done && st->pipe_chunks_done == st->mem_bursts_done &&
-      st->stream_cursor == st->stream.size()) {
+      st->stream_cursor == st->stream_len) {
     FinishStream(st);
   }
 }
 
+Result<const uint8_t*> DynamicRegion::BurstBytes(const ExecState& st,
+                                                 uint64_t n) {
+  if (n == 0) return static_cast<const uint8_t*>(nullptr);
+  const FvRequest& request = st.ctx->request;
+  const int client = st.ctx->client_id;
+  if (!request.smart_addressing) {
+    const uint64_t vaddr = request.vaddr + st.stream_cursor;
+    FV_ASSIGN_OR_RETURN(const std::span<const uint8_t> span,
+                        mmu_->PageSpan(client, vaddr, n));
+    if (span.size() == n) return span.data();
+    scratch_.resize(n);
+    FV_RETURN_IF_ERROR(mmu_->Read(client, vaddr, n, scratch_.data()));
+    return static_cast<const uint8_t*>(scratch_.data());
+  }
+  // Smart addressing: this burst's slice of the extraction, one access
+  // window (or part of one) at a time.
+  scratch_.resize(n);
+  const uint64_t access = request.sa_access_bytes;
+  uint64_t done = 0;
+  while (done < n) {
+    const uint64_t pos = st.stream_cursor + done;
+    const uint64_t within = pos % access;
+    const uint64_t take = std::min(access - within, n - done);
+    FV_RETURN_IF_ERROR(mmu_->Read(client,
+                                  request.vaddr +
+                                      pos / access * request.tuple_bytes +
+                                      request.sa_offset + within,
+                                  take, scratch_.data() + done));
+    done += take;
+  }
+  return static_cast<const uint8_t*>(scratch_.data());
+}
+
+void DynamicRegion::FailStream(const std::shared_ptr<ExecState>& st,
+                               Status s) {
+  st->failed = true;
+  ReleaseBusy();
+  st->on_result(std::move(s));
+}
+
 void DynamicRegion::FinishStream(std::shared_ptr<ExecState> st) {
-  // The stream is fully consumed (OnBurstProcessed checks the cursor before
-  // calling us), so its buffer can be recycled for the next request.
-  stream_pool_ = std::move(st->stream);
-  st->stream.clear();
-  st->stream_cursor = 0;
   Result<Batch> flushed = pipeline_->Flush();
   if (!flushed.ok()) {
-    st->failed = true;
-    ReleaseBusy();
-    st->on_result(flushed.status());
+    FailStream(st, flushed.status());
     return;
   }
   const Batch& fb = flushed.value();
@@ -279,8 +303,7 @@ void DynamicRegion::FinishStream(std::shared_ptr<ExecState> st) {
   if (fb.num_rows > 0 && pipeline_->IsBlocking()) {
     flush_latency = static_cast<SimTime>(fb.num_rows) * config_.flush_per_group;
   }
-  st->result.data.insert(st->result.data.end(), fb.data.begin(),
-                         fb.data.end());
+  AppendBytes(&st->result.data, fb.bytes(), fb.size_bytes());
   st->result.rows += fb.num_rows;
   const uint64_t flush_bytes = fb.size_bytes();
   engine_->ScheduleAfter(flush_latency, [this, st, flush_bytes]() {

@@ -39,7 +39,10 @@ namespace farview {
 /// the produced payload queues on the shared egress link. Functional bytes
 /// are read through the MMU when each burst clears the datapath — in
 /// stream order, which the reorder step guarantees (the hardware's
-/// inter-stack queues do the same).
+/// inter-stack queues do the same). Nothing is staged in between: the
+/// first operator reads a contiguous scan's rows straight from the node's
+/// DRAM image, so a burst processed after an overlapping write completes
+/// sees the new bytes (DESIGN.md §8).
 ///
 /// The region stamps each request's `RequestContext` as it moves through the
 /// stacks (region-start, first-memory-beat, operator-done, egress-finished,
@@ -98,11 +101,22 @@ class DynamicRegion {
  private:
   struct ExecState;
 
-  /// Burst `index` cleared the datapath: run the functional pipeline over
-  /// its bytes and push output to the network; finish after the last.
-  void OnBurstProcessed(std::shared_ptr<ExecState> st, uint64_t index);
+  /// A burst of `bytes` cleared the datapath: run the functional pipeline
+  /// over the next `bytes` of the input stream and push output to the
+  /// network; finish after the last.
+  void OnBurstProcessed(std::shared_ptr<ExecState> st, uint64_t bytes);
+
+  /// Reads input-stream bytes [cursor, cursor + n) of the request at burst
+  /// time. A contiguous range inside one page is a view into the DRAM
+  /// image; a page-crossing range or a smart-addressing slice is gathered
+  /// into `scratch_`. Fails like `Mmu::Read` (e.g. the table was freed).
+  Result<const uint8_t*> BurstBytes(const ExecState& st, uint64_t n);
 
   void FinishStream(std::shared_ptr<ExecState> st);
+
+  /// Ends the request with `s`: later bursts are ignored and the region is
+  /// released.
+  void FailStream(const std::shared_ptr<ExecState>& st, Status s);
 
   /// Marks the region busy and records the occupancy start.
   void EnterBusy(RequestContextPtr& ctx);
@@ -122,14 +136,12 @@ class DynamicRegion {
   NodeStats* stats_;
 
   std::optional<Pipeline> pipeline_;
-  /// Recycled input-stream buffer. Materializing a multi-MiB request into a
-  /// fresh vector costs milliseconds of page faults + zeroing per request;
-  /// reusing the previous request's buffer makes the same-size resize free
-  /// (Execute overwrites every byte through the MMU before reading any).
-  ByteBuffer stream_pool_;
+  /// One burst's gathered input (see BurstBytes). Region-owned and reused,
+  /// so it keeps its capacity across bursts and requests.
+  ByteBuffer scratch_;
   /// Long-lived stream parser, rebound to the loaded pipeline's input schema
   /// at the start of each request (a region serves one request at a time, so
-  /// reuse is race-free). Like `stream_pool_`, reuse keeps its partial-tuple
+  /// reuse is race-free). Like `scratch_`, reuse keeps its partial-tuple
   /// buffer capacity warm instead of heap-allocating a parser per request
   /// (DESIGN.md §8a).
   StreamParser parser_{nullptr};

@@ -26,7 +26,7 @@ void AppendFragment(size_t i, const FvResult& part, bool append_rows,
     out->first_byte_at = part.first_byte_at;
   }
   if (append_rows) {
-    out->data.insert(out->data.end(), part.data.begin(), part.data.end());
+    AppendBytes(&out->data, part.data.data(), part.data.size());
     out->rows += part.rows;
   }
   out->bytes_on_wire += part.bytes_on_wire;

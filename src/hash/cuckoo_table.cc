@@ -94,38 +94,34 @@ CuckooTable::UpsertResult CuckooTable::Upsert(const uint8_t* key,
     return UpsertResult::kFound;
   }
 
-  // Not present: place into the first way with a free slot; otherwise kick.
-  // The pending/evictee entries live in member scratch (`assign` reuses
-  // their capacity), so the insert path is allocation-free.
-  pending_key_.assign(key, key + key_width_);
-  pending_payload_.assign(PayloadStride(), 0);
+  // Not present. Fast path: one of the key's own way slots is free, tried
+  // in way order 0..W-1, and the key goes there directly.
+  for (int w = 0; w < num_ways_; ++w) {
+    const uint64_t idx = slots[w];
+    if (!occupied_[idx]) {
+      occupied_[idx] = true;
+      std::memcpy(SlotKey(idx), key, key_width_);
+      std::memset(SlotPayload(idx), 0, PayloadStride());
+      ++size_;
+      if (payload_out) *payload_out = SlotPayload(idx);
+      return UpsertResult::kInserted;
+    }
+  }
+
+  // Every way is full for this key: kick. The pending/evictee entries live
+  // in member scratch (resized within their reserved capacity), so the
+  // insert path is allocation-free.
+  pending_key_.resize(key_width_);
+  std::memcpy(pending_key_.data(), key, key_width_);
+  pending_payload_.resize(PayloadStride());
+  std::memset(pending_payload_.data(), 0, PayloadStride());
 
   int way = 0;
-  for (int kick = 0; kick <= kMaxKicks; ++kick) {
-    // Try all ways for a free slot for the pending key.
-    for (int w = 0; w < num_ways_; ++w) {
-      const int try_way = (way + w) % num_ways_;
-      const uint64_t idx = PendingSlot(kick, slots, try_way);
-      if (!occupied_[idx]) {
-        occupied_[idx] = true;
-        std::memcpy(SlotKey(idx), pending_key_.data(), key_width_);
-        std::memcpy(SlotPayload(idx), pending_payload_.data(),
-                    PayloadStride());
-        ++size_;
-        if (payload_out) {
-          // The original key is resident now: placed directly in `idx`, or
-          // somewhere along the displaced chain — return its payload.
-          *payload_out = kick == 0 ? SlotPayload(idx) : Lookup(key);
-          FV_CHECK(*payload_out != nullptr);
-        }
-        return UpsertResult::kInserted;
-      }
-    }
-    if (kick == kMaxKicks) break;
-    // All ways full for this key: evict the occupant of the pending key's
-    // slot in `way`, take its place, and continue with the evictee in the
-    // next way (Section 5.4: "upon the eviction from one of the tables, the
-    // evicted entry is inserted into the next hash table").
+  for (int kick = 0; kick < kMaxKicks; ++kick) {
+    // Evict the occupant of the pending entry's slot in `way`, take its
+    // place, and continue with the evictee in the next way (Section 5.4:
+    // "upon the eviction from one of the tables, the evicted entry is
+    // inserted into the next hash table").
     const uint64_t idx = PendingSlot(kick, slots, way);
     evicted_key_.assign(SlotKey(idx), SlotKey(idx) + key_width_);
     evicted_payload_.assign(SlotPayload(idx),
@@ -136,14 +132,32 @@ CuckooTable::UpsertResult CuckooTable::Upsert(const uint8_t* key,
     pending_payload_.swap(evicted_payload_);
     ++total_kicks_;
     way = (way + 1) % num_ways_;
+    // Try all ways for a free slot for the evictee.
+    for (int w = 0; w < num_ways_; ++w) {
+      const int try_way = (way + w) % num_ways_;
+      const uint64_t free_idx =
+          SlotIndex(try_way, HashWay(pending_key_.data(), try_way));
+      if (!occupied_[free_idx]) {
+        occupied_[free_idx] = true;
+        std::memcpy(SlotKey(free_idx), pending_key_.data(), key_width_);
+        std::memcpy(SlotPayload(free_idx), pending_payload_.data(),
+                    PayloadStride());
+        ++size_;
+        if (payload_out) {
+          // The original key is resident now, somewhere along the
+          // displaced chain — return its payload.
+          *payload_out = Lookup(key);
+          FV_CHECK(*payload_out != nullptr);
+        }
+        return UpsertResult::kInserted;
+      }
+    }
   }
 
   // Kick chain exhausted: the pending entry overflows. Note the pending
   // entry may be an evictee rather than the key being inserted.
-  overflow_keys_.insert(overflow_keys_.end(), pending_key_.begin(),
-                        pending_key_.end());
-  overflow_payloads_.insert(overflow_payloads_.end(),
-                            pending_payload_.begin(), pending_payload_.end());
+  AppendBytes(&overflow_keys_, pending_key_.data(), key_width_);
+  AppendBytes(&overflow_payloads_, pending_payload_.data(), PayloadStride());
   if (payload_out) {
     *payload_out = Lookup(key);
     FV_CHECK(*payload_out != nullptr);

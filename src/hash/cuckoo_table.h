@@ -106,8 +106,8 @@ class CuckooTable {
   /// on a miss that is every way. Shared by Lookup and Upsert.
   uint8_t* Probe(const uint8_t* key, uint64_t* slots);
   /// Slot of the pending entry in `way` during a kick chain. On the first
-  /// pass (`kick == 0`) the pending entry is the upserted key, whose slots
-  /// the miss probe already recorded in `key_slots`.
+  /// eviction (`kick == 0`) the pending entry is the upserted key, whose
+  /// slots the miss probe already recorded in `key_slots`.
   uint64_t PendingSlot(int kick, const uint64_t* key_slots, int way) const {
     return kick == 0 ? key_slots[way]
                      : SlotIndex(way, HashWay(pending_key_.data(), way));

@@ -112,13 +112,29 @@ Status Mmu::Read(int client, uint64_t vaddr, uint64_t len,
   return Status::OK();
 }
 
+Status Mmu::CheckAccess(int client, uint64_t vaddr, uint64_t len) const {
+  uint64_t done = 0;
+  while (done < len) {
+    FV_RETURN_IF_ERROR(Translate(client, vaddr + done).status());
+    done += std::min(len - done, kPageSize - ((vaddr + done) % kPageSize));
+  }
+  return Status::OK();
+}
+
+Result<std::span<const uint8_t>> Mmu::PageSpan(int client, uint64_t vaddr,
+                                               uint64_t max_len) const {
+  FV_ASSIGN_OR_RETURN(const uint64_t paddr, Translate(client, vaddr));
+  const uint64_t n = std::min(max_len, kPageSize - (vaddr % kPageSize));
+  FV_ASSIGN_OR_RETURN(const uint8_t* p, phys_->Span(paddr, n));
+  return std::span<const uint8_t>(p, n);
+}
+
 Status Mmu::ReadInto(int client, uint64_t vaddr, uint64_t len,
                      ByteBuffer* out) const {
   // ByteBuffer growth default-initializes (PooledByteAllocator), so this
   // resize reserves space without a zeroing pass; memcpy then writes each
   // page span once. Plain cached stores on purpose: the payload is read
-  // back soon after (a region's stream parser consumes the materialized
-  // scan burst by burst; clients read their read results). Writing it
+  // back soon after (clients read their read results). Writing it
   // around the caches only to fetch it back from DRAM more than doubled the
   // cost: one 1 MiB ReadInto plus a read of the copy (micro_primitives
   // BM_MmuReadInto) took 220-300 us with non-temporal stores and 60-130 us

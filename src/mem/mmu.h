@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -58,11 +59,23 @@ class Mmu {
   /// `out`, page by page. The whole range must be mapped and accessible.
   Status Read(int client, uint64_t vaddr, uint64_t len, uint8_t* out) const;
 
+  /// Checks that `len` bytes at `vaddr` are mapped and accessible to
+  /// `client`, page by page, without touching them. Returns exactly the
+  /// status `Read` of the same range would.
+  Status CheckAccess(int client, uint64_t vaddr, uint64_t len) const;
+
+  /// Zero-copy view of the bytes at `vaddr` in the physical memory image:
+  /// `max_len` of them, or fewer when the page holding `vaddr` ends first.
+  /// The view stays valid while the page stays mapped; later writes show
+  /// through it. Fails like `Translate`.
+  Result<std::span<const uint8_t>> PageSpan(int client, uint64_t vaddr,
+                                            uint64_t max_len) const;
+
   /// Like Read, but appends to `*out` instead of writing through a raw
   /// pointer. The append is a single memcpy pass per page span — no
-  /// value-initializing resize of the destination first — which keeps the
-  /// per-request materialization cost at one pass over the payload
-  /// (DESIGN.md §8). On error the appended region is indeterminate;
+  /// value-initializing resize of the destination first — which keeps a
+  /// plain read's cost at one pass over the payload (DESIGN.md §8).
+  /// On error the appended region is indeterminate;
   /// callers must discard `*out`.
   Status ReadInto(int client, uint64_t vaddr, uint64_t len,
                   ByteBuffer* out) const;

@@ -6,33 +6,27 @@ namespace farview {
 
 Batch StreamParser::Push(const uint8_t* data, uint64_t len) {
   const uint32_t tw = schema_->tuple_width();
-  Batch out;
-  out.schema = schema_;
-
-  uint64_t consumed = 0;
-  // Complete a buffered partial tuple first.
-  if (!partial_.empty()) {
-    const uint64_t need = tw - partial_.size();
-    const uint64_t take = std::min(need, len);
-    partial_.insert(partial_.end(), data, data + take);
-    consumed = take;
-    if (partial_.size() < tw) return out;  // still partial
-    out.data = std::move(partial_);
-    partial_.clear();
-    out.num_rows = 1;
+  if (partial_.empty()) {
+    const uint64_t whole = len / tw;
+    Batch out = Batch::Borrow(schema_, data, whole);
+    AppendBytes(&partial_, data + whole * tw, len - whole * tw);
+    return out;
   }
 
-  const uint64_t remaining = len - consumed;
-  const uint64_t whole = remaining / tw;
+  // Complete the buffered partial tuple first. The rows after it are copied
+  // behind it, so a burst still yields one contiguous batch.
+  Batch out = Batch::Empty(schema_);
+  const uint64_t take = std::min<uint64_t>(tw - partial_.size(), len);
+  AppendBytes(&partial_, data, take);
+  if (partial_.size() < tw) return out;  // still partial
+  const uint64_t whole = (len - take) / tw;
   const uint64_t whole_bytes = whole * tw;
-  out.data.insert(out.data.end(), data + consumed,
-                  data + consumed + whole_bytes);
-  out.num_rows += whole;
-
-  const uint64_t tail = remaining - whole_bytes;
-  if (tail > 0) {
-    partial_.assign(data + consumed + whole_bytes, data + len);
-  }
+  out.data.reserve(tw + whole_bytes);
+  AppendBytes(&out.data, partial_.data(), tw);
+  AppendBytes(&out.data, data + take, whole_bytes);
+  out.num_rows = 1 + whole;
+  partial_.clear();
+  AppendBytes(&partial_, data + take + whole_bytes, len - take - whole_bytes);
   return out;
 }
 

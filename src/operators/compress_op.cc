@@ -7,14 +7,14 @@ CompressOp::CompressOp(const Schema& input)
 
 Result<Batch> CompressOp::Process(Batch in) {
   Batch out = Batch::Empty(&output_schema_);
-  if (!in.data.empty()) {
-    const ByteBuffer compressed = LzCompress(in.data);
-    raw_bytes_ += in.data.size();
+  if (in.size_bytes() > 0) {
+    const ByteBuffer compressed = LzCompress(in.bytes(), in.size_bytes());
+    raw_bytes_ += in.size_bytes();
     compressed_bytes_ += compressed.size();
     out.data.resize(8);  // fvcheck:allow=hot-path-alloc pooled ByteBuffer
-    StoreLE32(out.data.data(), static_cast<uint32_t>(in.data.size()));
+    StoreLE32(out.data.data(), static_cast<uint32_t>(in.size_bytes()));
     StoreLE32(out.data.data() + 4, static_cast<uint32_t>(compressed.size()));
-    out.data.insert(out.data.end(), compressed.begin(), compressed.end());
+    AppendBytes(&out.data, compressed.data(), compressed.size());
     out.num_rows = out.data.size();  // 1-byte rows
   }
   Account(in, out);

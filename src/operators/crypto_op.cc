@@ -14,7 +14,9 @@ Result<OperatorPtr> CryptoOp::Create(const Schema& schema,
 
 Result<Batch> CryptoOp::Process(Batch in) {
   // XOR with the keystream in place; CTR encryption and decryption are the
-  // same transform.
+  // same transform. Borrowed rows are read-only (they may be the node's
+  // DRAM image), so take an owned copy first.
+  in.Own();
   ctr_.Apply(in.data.data(), in.data.size(), offset_);
   offset_ += in.data.size();
   Batch out = std::move(in);

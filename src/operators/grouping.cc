@@ -189,7 +189,7 @@ Result<Batch> DistinctOp::Process(Batch in) {
     // lookup the upsert would otherwise do after an insert.
     const CuckooTable::UpsertResult res = table_->Upsert(key, nullptr);
     if (res == CuckooTable::UpsertResult::kFound) continue;
-    out.data.insert(out.data.end(), key, key + key_width_);
+    AppendBytes(&out.data, key, key_width_);
     ++out.num_rows;
   }
   Account(in, out);
@@ -252,7 +252,7 @@ Result<Batch> GroupByOp::Process(Batch in) {
     uint8_t* payload = nullptr;
     const CuckooTable::UpsertResult res = table_->Upsert(key, &payload);
     if (res != CuckooTable::UpsertResult::kFound) {
-      group_queue_.insert(group_queue_.end(), key, key + key_width_);
+      AppendBytes(&group_queue_, key, key_width_);
     }
     internal::AggUpdate(aggs_, row, payload);
   }

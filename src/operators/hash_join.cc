@@ -95,8 +95,8 @@ Result<Batch> HashJoinOp::Process(Batch in) {
     const uint8_t* key = row.ColumnData(probe_key_col_);
     const uint8_t* payload = table_->Lookup(key);
     if (payload == nullptr) continue;  // inner join: drop non-matching rows
-    out.data.insert(out.data.end(), row.data(), row.data() + probe_width);
-    out.data.insert(out.data.end(), payload, payload + payload_width);
+    AppendBytes(&out.data, row.data(), probe_width);
+    AppendBytes(&out.data, payload, payload_width);
     ++out.num_rows;
   }
   Account(in, out);

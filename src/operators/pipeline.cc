@@ -27,7 +27,7 @@ Result<Batch> Pipeline::Flush() {
     for (size_t j = i + 1; j < ops_.size(); ++j) {
       FV_ASSIGN_OR_RETURN(b, ops_[j]->Process(std::move(b)));
     }
-    out.data.insert(out.data.end(), b.data.begin(), b.data.end());
+    AppendBytes(&out.data, b.bytes(), b.size_bytes());
     out.num_rows += b.num_rows;
   }
   return out;

@@ -40,7 +40,7 @@ Result<Batch> ProjectionOp::Process(Batch in) {
     for (size_t i = 0; i < columns_.size(); ++i) {
       const int src = columns_[i];
       const uint8_t* p = row.ColumnData(src);
-      out.data.insert(out.data.end(), p, p + input_schema_.width(src));
+      AppendBytes(&out.data, p, input_schema_.width(src));
     }
   }
   out.num_rows = in.num_rows;

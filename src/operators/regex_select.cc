@@ -34,7 +34,7 @@ Result<Batch> RegexSelectOp::Process(Batch in) {
       matched = regex_.Search(field);
     }
     if (matched) {
-      out.data.insert(out.data.end(), row.data(), row.data() + tw);
+      AppendBytes(&out.data, row.data(), tw);
       ++out.num_rows;
     }
   }

@@ -14,7 +14,7 @@ Result<Batch> SelectionOp::Process(Batch in) {
   for (uint64_t r = 0; r < in.num_rows; ++r) {
     const TupleView row = in.Row(r);
     if (predicates_.Eval(row)) {
-      out.data.insert(out.data.end(), row.data(), row.data() + tw);
+      AppendBytes(&out.data, row.data(), tw);
       ++out.num_rows;
     }
   }

@@ -182,6 +182,28 @@ TEST(BytesTest, FormatBytes) {
   EXPECT_EQ(FormatBytes(kGiB), "1.00 GiB");
 }
 
+TEST(BytesTest, AppendBytes) {
+  const uint8_t src[] = {1, 2, 3, 4, 5};
+  ByteBuffer out;
+  AppendBytes(&out, src, 3);  // into an empty buffer
+  EXPECT_EQ(out, ByteBuffer({1, 2, 3}));
+  AppendBytes(&out, src + 3, 2);  // behind existing bytes
+  EXPECT_EQ(out, ByteBuffer({1, 2, 3, 4, 5}));
+  AppendBytes(&out, src, 0);  // zero-length source
+  AppendBytes(&out, nullptr, 0);
+  EXPECT_EQ(out, ByteBuffer({1, 2, 3, 4, 5}));
+  ByteBuffer empty;
+  AppendBytes(&empty, nullptr, 0);
+  EXPECT_TRUE(empty.empty());
+  // Growth past the first allocation keeps every byte.
+  ByteBuffer big;
+  for (int i = 0; i < 1000; ++i) AppendBytes(&big, src, 5);
+  ASSERT_EQ(big.size(), 5000u);
+  for (size_t i = 0; i < big.size(); ++i) {
+    ASSERT_EQ(big[i], src[i % 5]) << i;
+  }
+}
+
 TEST(PoolPoisonConfig, ReleaseMatchesBuildConfiguration) {
   // Pool poisoning (kPoolPoisonByte, src/common/pool.h) is a debug aid: the
   // default build must leave recycled bytes untouched (no memset on the hot

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "fv/client.h"
 #include "fv/farview_node.h"
@@ -452,6 +455,191 @@ TEST_F(FvNodeTest, StreamingDeliversFirstByteEarly) {
   // The flush-phase result arrives only near the end.
   EXPECT_GT(blocking.value().TimeToFirstByte(),
             blocking.value().Elapsed() / 2);
+}
+
+// ---------------------------------------------------------------------------
+// Read-at-burst-time semantics (DESIGN.md §8): a scan reads each burst from
+// the node's DRAM image when the burst clears the datapath
+// ---------------------------------------------------------------------------
+
+/// Pass-through operator that logs, for every batch it sees, the simulated
+/// time and the batch's row count. Reset (called at the start of every
+/// request) clears the log.
+class BurstLogOp : public Operator {
+ public:
+  struct Entry {
+    SimTime at;
+    uint64_t rows;
+  };
+
+  BurstLogOp(const Schema& schema, const sim::Engine* engine,
+             std::vector<Entry>* log)
+      : schema_(schema), engine_(engine), log_(log) {}
+
+  Result<Batch> Process(Batch in) override {
+    log_->push_back(Entry{engine_->Now(), in.num_rows});
+    return in;
+  }
+  Result<Batch> Flush() override { return Batch::Empty(&schema_); }
+  const Schema& output_schema() const override { return schema_; }
+  std::string name() const override { return "burst_log"; }
+  void Reset() override { log_->clear(); }
+
+ private:
+  Schema schema_;
+  const sim::Engine* engine_;
+  std::vector<Entry>* log_;
+};
+
+TEST_F(FvNodeTest, BurstStraddlingAPageBoundaryReadsBothPages) {
+  // The datapath consumes the stream in burst completion order. Starting
+  // one stripe into the table puts the delayed first burst (translation
+  // latency) on the same channel as the last full burst of page 0, while
+  // the 64 B burst that opens page 1 completes on the other channel first.
+  // The late burst's bytes then straddle the 2 MiB page boundary and are
+  // gathered from both pages.
+  constexpr uint64_t kStripe = 4096;
+  const FTable ft = Upload("t", 32769, 100, 50);  // 2 MiB + 64 B
+  Result<Pipeline> p = PipelineBuilder(ft.schema).Build();
+  ASSERT_TRUE(p.ok());
+  ASSERT_TRUE(client_.LoadPipeline(std::move(p).value()).ok());
+  FvRequest req = client_.ScanRequest(ft);
+  req.vaddr += kStripe;
+  req.len -= kStripe;
+  Result<FvResult> r = client_.FarviewRequest(req);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const ByteBuffer& all = last_table_->bytes();
+  EXPECT_EQ(r.value().data, ByteBuffer(all.begin() + kStripe, all.end()));
+}
+
+TEST_F(FvNodeTest, FreeDuringScanSettlesTypedAndReleasesRegion) {
+  FTable ft = Upload("doomed", 16384, 100, 51);  // 1 MiB
+  Result<Pipeline> p = PipelineBuilder(ft.schema).Build();
+  ASSERT_TRUE(p.ok());
+  ASSERT_TRUE(client_.LoadPipeline(std::move(p).value()).ok());
+  // An undisturbed scan of the same table bounds the disturbed one.
+  Result<FvResult> undisturbed =
+      client_.FarviewRequest(client_.ScanRequest(ft));
+  ASSERT_TRUE(undisturbed.ok());
+  const SimTime duration =
+      undisturbed.value().completed_at - undisturbed.value().issued_at;
+
+  const SimTime start = engine_.Now();
+  std::optional<Result<FvResult>> settled;
+  SimTime settled_at = 0;
+  client_.FarviewRequestAsync(client_.ScanRequest(ft),
+                              [&](Result<FvResult> r) {
+                                settled.emplace(std::move(r));
+                                settled_at = engine_.Now();
+                              });
+  // Free the table halfway through the scan.
+  engine_.ScheduleAfter(duration / 2, [&]() {
+    EXPECT_TRUE(client_.FreeTableMem(&ft).ok());
+  });
+  engine_.Run();
+
+  ASSERT_TRUE(settled.has_value());
+  EXPECT_TRUE(settled->status().IsNotFound()) << settled->status().ToString();
+  EXPECT_GT(settled_at, start + duration / 2);
+  EXPECT_LE(settled_at, start + duration);
+  EXPECT_FALSE(node_.region(client_.qp()->region_id).busy());
+
+  // The region serves the next request normally.
+  const FTable next = Upload("next", 4096, 100, 52);
+  Result<FvResult> r = client_.FarviewRequest(client_.ScanRequest(next));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().rows, 4096u);
+  EXPECT_EQ(r.value().data, last_table_->bytes());
+}
+
+TEST_F(FvNodeTest, WriteDuringScanIsSeenExactlyByLaterBursts) {
+  constexpr uint64_t kRows = 16384;  // 1 MiB of 64 B rows
+  const FTable ft = Upload("t", kRows, 100, 53);
+  const Table old_rows = *last_table_;
+  const uint32_t tw = ft.schema.tuple_width();
+
+  std::vector<BurstLogOp::Entry> log;
+  Pipeline p(ft.schema);
+  p.Append(std::make_unique<BurstLogOp>(ft.schema, &engine_, &log));
+  ASSERT_TRUE(client_.LoadPipeline(std::move(p)).ok());
+  // An undisturbed scan tells where the datapath is halfway through: the
+  // disturbed scan runs the same schedule up to the write.
+  const SimTime start = engine_.Now();
+  Result<FvResult> undisturbed =
+      client_.FarviewRequest(client_.ScanRequest(ft));
+  ASSERT_TRUE(undisturbed.ok());
+  ASSERT_EQ(undisturbed.value().data, old_rows.bytes());
+  const SimTime half =
+      (undisturbed.value().completed_at - undisturbed.value().issued_at) / 2;
+  uint64_t row_at_half = 0;
+  for (const BurstLogOp::Entry& e : log) {
+    if (e.at - start > half) break;
+    row_at_half += e.rows;
+  }
+  ASSERT_GT(row_at_half, 1024u);
+  ASSERT_LT(row_at_half, kRows - 1024);
+
+  // Overwrite 64 KiB of rows straddling that point while the scan runs.
+  const uint64_t first = row_at_half - 512;
+  const uint64_t count = 1024;
+  TableGenerator gen(54);
+  Result<Table> fresh = gen.Uniform(ft.schema, count, 1000000);
+  ASSERT_TRUE(fresh.ok());
+  Table merged = old_rows;
+  std::memcpy(merged.mutable_data() + first * tw, fresh.value().data(),
+              count * tw);
+  ASSERT_NE(merged.bytes(), old_rows.bytes());
+
+  std::optional<Result<FvResult>> scan;
+  const SimTime scan_start = engine_.Now();
+  client_.FarviewRequestAsync(
+      client_.ScanRequest(ft),
+      [&](Result<FvResult> r) { scan.emplace(std::move(r)); });
+  // The node applies the bytes when the write reaches it (`written_at`);
+  // the write completes at the client later (`write_done_at`).
+  SimTime written_at = 0;
+  SimTime write_done_at = 0;
+  engine_.ScheduleAfter(half, [&]() {
+    written_at = engine_.Now();
+    node_.TableWrite(client_.qp()->qp_id, ft.vaddr + first * tw,
+                     fresh.value().data(), count * tw,
+                     [&](Result<SimTime> r) {
+                       EXPECT_TRUE(r.ok());
+                       write_done_at = engine_.Now();
+                     });
+  });
+  engine_.Run();
+
+  ASSERT_TRUE(scan.has_value());
+  ASSERT_TRUE(scan->ok()) << scan->status().ToString();
+  EXPECT_EQ(written_at, scan_start + half);
+  EXPECT_GT(write_done_at, written_at);
+  EXPECT_LT(write_done_at, scan->value().completed_at);
+  const ByteBuffer& got = scan->value().data;
+  ASSERT_EQ(got.size(), old_rows.size_bytes());
+
+  // Walk the bursts in stream order: a burst processed before the write
+  // landed holds the old rows; one processed after holds the new ones.
+  uint64_t row = 0;
+  int before_in_range = 0;
+  int after_in_range = 0;
+  for (const BurstLogOp::Entry& e : log) {
+    if (e.rows == 0) continue;
+    ASSERT_NE(e.at, written_at) << "a burst shares the write's instant";
+    const bool after = e.at > written_at;
+    if (row < first + count && row + e.rows > first) {
+      (after ? after_in_range : before_in_range)++;
+    }
+    const Table& want = after ? merged : old_rows;
+    EXPECT_EQ(std::memcmp(got.data() + row * tw, want.data() + row * tw,
+                          e.rows * tw),
+              0)
+        << "burst at row " << row << (after ? " (after)" : " (before)");
+    row += e.rows;
+  }
+  EXPECT_EQ(row, kRows);
+  EXPECT_GT(before_in_range, 0);
+  EXPECT_GT(after_in_range, 0);
 }
 
 // ---------------------------------------------------------------------------

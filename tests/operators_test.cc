@@ -49,8 +49,47 @@ TEST(StreamParserTest, WholeRowsPassThrough) {
   for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i);
   Batch b = p.Push(data.data(), data.size());
   EXPECT_EQ(b.num_rows, 4u);
-  EXPECT_EQ(b.data, data);
+  // Whole rows are borrowed from the pushed bytes, not copied.
+  EXPECT_TRUE(b.borrowed());
+  EXPECT_TRUE(b.data.empty());
+  EXPECT_EQ(b.bytes(), data.data());
+  ASSERT_EQ(b.size_bytes(), data.size());
+  EXPECT_EQ(ByteBuffer(b.bytes(), b.bytes() + b.size_bytes()), data);
+  EXPECT_EQ(b.Row(3).data(), data.data() + 48);
   EXPECT_EQ(p.pending_bytes(), 0u);
+}
+
+TEST(StreamParserTest, StitchedRowReturnsOwnedBatch) {
+  const Schema s = Schema::DefaultWideRow(2);  // 16 B rows
+  StreamParser p(&s);
+  ByteBuffer data(40);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(p.Push(data.data(), 10).num_rows, 0u);
+  // The second push completes the pending tuple and carries one whole row
+  // and 8 trailing bytes: the batch owns a copy of both rows.
+  Batch b = p.Push(data.data() + 10, 30);
+  EXPECT_FALSE(b.borrowed());
+  EXPECT_EQ(b.num_rows, 2u);
+  EXPECT_EQ(b.bytes(), b.data.data());
+  EXPECT_EQ(b.data, ByteBuffer(data.begin(), data.begin() + 32));
+  EXPECT_EQ(p.pending_bytes(), 8u);
+  // Changing the source after the push does not reach the owned rows.
+  data[0] = 0xff;
+  EXPECT_EQ(b.data[0], 0u);
+}
+
+TEST(BatchTest, OwnCopiesBorrowedRows) {
+  const Schema s = Schema::DefaultWideRow(2);
+  ByteBuffer rows(32, 0x5a);
+  Batch b = Batch::Borrow(&s, rows.data(), 2);
+  EXPECT_TRUE(b.borrowed());
+  b.Own();
+  EXPECT_FALSE(b.borrowed());
+  EXPECT_EQ(b.data, rows);
+  EXPECT_EQ(b.bytes(), b.data.data());
+  EXPECT_EQ(b.size_bytes(), 32u);
+  // Zero rows borrow nothing.
+  EXPECT_FALSE(Batch::Borrow(&s, rows.data(), 0).borrowed());
 }
 
 TEST(StreamParserTest, SplitsAcrossArbitraryBoundaries) {
@@ -66,12 +105,12 @@ TEST(StreamParserTest, SplitsAcrossArbitraryBoundaries) {
   const size_t chunks[] = {1, 7, 16, 3, 30, 40, 63};
   for (size_t c : chunks) {
     Batch b = p.Push(data.data() + pos, c);
-    reassembled.insert(reassembled.end(), b.data.begin(), b.data.end());
+    AppendBytes(&reassembled, b.bytes(), b.size_bytes());
     rows += b.num_rows;
     pos += c;
   }
   Batch last = p.Push(data.data() + pos, data.size() - pos);
-  reassembled.insert(reassembled.end(), last.data.begin(), last.data.end());
+  AppendBytes(&reassembled, last.bytes(), last.size_bytes());
   rows += last.num_rows;
   EXPECT_EQ(rows, 10u);
   EXPECT_EQ(reassembled, data);
