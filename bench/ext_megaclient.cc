@@ -14,8 +14,8 @@
 //
 // Wall-clock speedup (threads=1 vs threads=4 on the largest point) is
 // machine-dependent by nature, so it goes to stderr only, outside the
-// byte-identity contract — mirroring how perf_simcore is excluded from the
-// golden sweep. Both runs must still produce byte-identical summaries,
+// byte-identity contract — mirroring how micro_primitives is excluded from
+// the golden sweep. Both runs must still produce byte-identical summaries,
 // which is FV_CHECKed here on every execution.
 
 #include <algorithm>

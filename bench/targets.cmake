@@ -39,9 +39,3 @@ fv_add_bench(ext_megaclient)
 # RegionScheduler plus a megaclient storm with admission shaping; stdout is
 # deterministic at any FV_SIM_THREADS and golden-checked.
 fv_add_bench(ext_overload)
-
-# Wall-clock simulator-core harness (DESIGN.md §8). Links the counting
-# allocator hook so it can report allocs/event; like micro_primitives it is
-# machine-dependent and excluded from the bench byte-identity sweep.
-fv_add_bench(perf_simcore)
-target_sources(perf_simcore PRIVATE $<TARGET_OBJECTS:fv_alloc_hook>)

@@ -7,9 +7,8 @@
 # script runs each driver that has a golden capture under
 # tests/goldens/bench/ and diffs its stdout against the capture.
 #
-# Excluded by construction (no goldens committed): micro_primitives
-# (google-benchmark, host-timing output) and perf_simcore (wall-clock
-# harness; machine-dependent by design).
+# Excluded by construction (no golden committed): micro_primitives
+# (google-benchmark, host-timing output; machine-dependent by design).
 #
 # Usage: check_bench_identity.sh <build_dir> [golden_dir] [name]
 #   With `name` (e.g. fig10_regex) only that driver is checked against

@@ -7,11 +7,12 @@ namespace farview {
 
 /// Process-wide heap-allocation counters, fed by the replacement global
 /// `operator new` in alloc_counter_hook.cc. The hook is linked only into
-/// binaries that opt in (bench/perf_simcore and the alloc-regression test);
+/// binaries that opt in (the allocation-gated tests and fvbench);
 /// everywhere else the counters read zero and `hook_active()` is false.
 ///
-/// This is how the perf harness measures allocs/event and how the
-/// zero-allocation contract of the event core is pinned (DESIGN.md §8):
+/// This is how tests/simcore_counts_test.cc gates allocations per workload
+/// and how the zero-allocation contract of the event core is pinned
+/// (DESIGN.md §8):
 /// counting at the allocator boundary catches every hidden allocation —
 /// std::function fallbacks, container growth, shared_ptr control blocks —
 /// not just the ones we remember to instrument.
@@ -28,10 +29,11 @@ uint64_t bytes();
 bool hook_active();
 
 namespace internal {
-/// Storage updated by the hook; defined in alloc_counter.cc so that binaries
+/// Counts one `operator new` of `size` bytes. Called by the hook from
+/// whichever thread allocates; defined in alloc_counter.cc so that binaries
 /// without the hook still link.
-extern uint64_t g_allocations;
-extern uint64_t g_bytes;
+void Count(uint64_t size);
+/// Set by the hook before main() runs.
 extern bool g_hook_active;
 }  // namespace internal
 

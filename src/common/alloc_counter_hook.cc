@@ -1,7 +1,7 @@
 // Replacement global operator new/delete that counts every allocation.
 //
 // Linked ONLY into binaries that measure allocation behavior (see
-// fv_alloc_counter_hook in src/common/CMakeLists.txt): replacing the global
+// fv_alloc_hook in src/common/CMakeLists.txt): replacing the global
 // allocator is binary-wide, so it must stay out of fv_common. Under ASan the
 // sanitizer runtime owns operator new; the hook compiles to nothing and
 // `alloc_counter::hook_active()` stays false so measurements skip cleanly.
@@ -29,10 +29,8 @@ struct HookActivator {
 } g_activator;
 
 void* CountedAlloc(std::size_t size) {
-  // The simulator is single-threaded; plain increments are fine and keep the
-  // hook cheap enough that it doesn't distort the timing it instruments.
-  ++farview::alloc_counter::internal::g_allocations;
-  farview::alloc_counter::internal::g_bytes += size;
+  // Safe from any thread: the counters are relaxed atomics.
+  farview::alloc_counter::internal::Count(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   // operator new's contract requires bad_alloc; the hook must honor it.
   throw std::bad_alloc();  // fvcheck:allow=banned-api
@@ -43,8 +41,7 @@ void* CountedAlloc(std::size_t size) {
 void* operator new(std::size_t size) { return CountedAlloc(size); }
 void* operator new[](std::size_t size) { return CountedAlloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++farview::alloc_counter::internal::g_allocations;
-  farview::alloc_counter::internal::g_bytes += size;
+  farview::alloc_counter::internal::Count(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {

@@ -22,7 +22,7 @@ namespace farview::sim {
 /// `EventFn::kInlineBytes` (64 B, nothrow-movable) performs ZERO heap
 /// allocations in steady state — the callback lives inline in the calendar
 /// bucket, and buckets recycle their capacity across laps. Pinned by
-/// tests/sim_alloc_test.cc and measured by bench/perf_simcore.cc.
+/// EngineAllocTest in tests/sim_test.cc.
 ///
 /// The engine itself is single-threaded: one clock, one queue, no locks.
 /// Parallelism lives a layer above — `sim::ParallelEngine`
@@ -77,8 +77,8 @@ class Engine {
   /// inline in-order delivery) collapse k timing-equivalent events into one
   /// engine event, or elide an event entirely; they account the logical
   /// events here so `executed_events()` stays equal to the uncoalesced
-  /// simulation's count. The perf harness and bench_report.sh pin that
-  /// count, which is what makes the coalescing refactor auditable
+  /// simulation's count. tests/simcore_counts_test.cc pins that count per
+  /// workload, which is what makes the coalescing refactor auditable
   /// (DESIGN.md §8a).
   void AccountCoalesced(int64_t delta) {
     executed_ = static_cast<uint64_t>(static_cast<int64_t>(executed_) + delta);

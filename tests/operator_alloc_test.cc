@@ -4,7 +4,7 @@
 // group queues, join emit buffers, packer output) lives in ByteBuffers whose
 // blocks recycle through ByteBlockPool's size classes, so the steady state
 // is pure pointer pops at the allocator boundary. The counting operator-new
-// hook (same object as bench/perf_simcore) observes every hidden allocation
+// hook (common/alloc_counter.h) observes every hidden allocation
 // — container growth, std::function fallbacks, shared_ptr control blocks —
 // which is what makes this pin trustworthy.
 

@@ -1,14 +1,6 @@
-// Wall-clock performance harness for the simulator core (DESIGN.md §8,
-// EXPERIMENTS.md "Simulator performance").
+// Deterministic host-cost gate for the simulator core (DESIGN.md §8a).
 //
-// Unlike every other bench driver, this one intentionally measures HOST
-// time: it exists to keep the simulator fast enough that the full figure
-// suite stays cheap to run, not to reproduce a paper number. Its stdout is
-// therefore machine-dependent and it is excluded from the bench
-// byte-identity sweep (scripts/check_bench_identity.sh), exactly like the
-// google-benchmark micro_primitives driver.
-//
-// Three representative workloads bracket the hot paths:
+// Eight representative workloads bracket the hot paths:
 //  - fig6_read:    one client streaming 4 MiB raw reads (network stack and
 //                  memory controller dominated; long burst trains).
 //  - fig12_multiclient: six concurrent DISTINCT queries (operator pipeline,
@@ -16,24 +8,26 @@
 //  - ext_faults:   lossy 1 MiB reads with an 8-packet credit window
 //                  (retransmit timers, attempt timeouts, client retries —
 //                  far-future events stressing the calendar overflow).
+//  - ext_failover, ext_shardout, ext_overload: the replication, sharding
+//                  and admission layers' event mixes.
+//  - megaclient at 1 and 4 worker threads: the partitioned core.
 //
-// Per workload the harness reports simulated events executed, wall time,
-// events/sec, ns/event, and — when the counting allocator hook is linked and
-// active (see common/alloc_counter.h) — heap allocations per event. Output
-// is a human-readable table on stdout plus a JSON report (default
-// BENCH_simcore.new.json in the working directory, override with
-// FV_BENCH_JSON; FV_BENCH_JSON=- skips the file) consumed by
-// scripts/bench_report.sh and the CI perf-smoke job. The default never
-// names the committed baseline BENCH_simcore.json, so a plain run from the
-// repo root cannot overwrite it; refreshing the baseline is an explicit
-// FV_BENCH_JSON=BENCH_simcore.json.
+// Each workload runs twice in one process. Both runs must execute the same
+// number of events, and the second run, whose pools are warm, is gated:
+// its executed-event count must equal the committed count exactly, and its
+// heap allocations (counted at the operator new boundary,
+// common/alloc_counter.h) must not exceed the committed count. The first
+// run is not gated on allocations because what it allocates depends on
+// what ran earlier in the process. Counts only: nothing here reads a clock.
+// A failing row prints the measured {events, allocs}, which is what a
+// deliberate change copies into kRows.
 
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "benchlib/experiment.h"
 #include "common/alloc_counter.h"
@@ -49,61 +43,32 @@
 namespace farview {
 namespace {
 
-struct Measurement {
-  std::string name;
-  /// Worker threads used by the workload's engine. Single-engine workloads
-  /// are inherently 1; partitioned workloads repeat under several thread
-  /// counts, and scripts/bench_report.sh keys baseline rows by
-  /// (name, threads) so the multi-thread rows gate against their own
-  /// baselines and report speedup against the 1-thread row.
-  int threads = 1;
+struct Counts {
   uint64_t events = 0;
   uint64_t allocs = 0;
-  uint64_t alloc_bytes = 0;
-  double wall_ns = 0;
-
-  double events_per_sec() const {
-    return wall_ns > 0 ? static_cast<double>(events) * 1e9 / wall_ns : 0.0;
-  }
-  double ns_per_event() const {
-    return events > 0 ? wall_ns / static_cast<double>(events) : 0.0;
-  }
-  double allocs_per_event() const {
-    return events > 0
-               ? static_cast<double>(allocs) / static_cast<double>(events)
-               : 0.0;
-  }
 };
 
-/// Times `body` (which must run the fixture's engine to completion) and
-/// attributes the event/allocation deltas to `name`. Setup cost (table
-/// generation, uploads, pipeline load) stays outside the measured region.
+/// Runs `body` (which must run the fixture's engine to completion) and
+/// returns the event/allocation deltas. Setup (table generation, uploads,
+/// pipeline load) stays outside the counted region.
 template <typename Body>
-Measurement Measure(const std::string& name, sim::Engine& engine, Body body) {
+Counts Measure(sim::Engine& engine, Body body) {
   const uint64_t events0 = engine.executed_events();
   const uint64_t allocs0 = alloc_counter::allocations();
-  const uint64_t bytes0 = alloc_counter::bytes();
-  const auto wall0 = std::chrono::steady_clock::now();
   body();
-  const auto wall1 = std::chrono::steady_clock::now();
-  Measurement m;
-  m.name = name;
-  m.events = engine.executed_events() - events0;
-  m.allocs = alloc_counter::allocations() - allocs0;
-  m.alloc_bytes = alloc_counter::bytes() - bytes0;
-  m.wall_ns = std::chrono::duration<double, std::nano>(wall1 - wall0).count();
-  return m;
+  return {engine.executed_events() - events0,
+          alloc_counter::allocations() - allocs0};
 }
 
 /// fig6-style raw read: one client, 4 MiB table, three sequential reads.
-Measurement RunFig6Read() {
+Counts RunFig6Read() {
   constexpr uint64_t kBytes = 4 * kMiB;
   bench::FvFixture fx;
   TableGenerator gen(kBytes);
   Result<Table> t = gen.Uniform(Schema::DefaultWideRow(), kBytes / 64, 100);
   FV_CHECK(t.ok()) << t.status().message();
   const FTable ft = fx.Upload("t", t.value());
-  return Measure("fig6_read", fx.engine(), [&] {
+  return Measure(fx.engine(), [&] {
     for (int i = 0; i < 3; ++i) {
       Result<FvResult> read = fx.client().TableRead(ft);
       FV_CHECK(read.ok()) << read.status().message();
@@ -112,7 +77,7 @@ Measurement RunFig6Read() {
 }
 
 /// fig12-style batch: six clients each running DISTINCT over 128 Ki rows.
-Measurement RunFig12Multiclient() {
+Counts RunFig12Multiclient() {
   constexpr int kClients = 6;
   constexpr uint64_t kRows = 1 << 17;
   bench::FvFixture fx;
@@ -143,7 +108,7 @@ Measurement RunFig12Multiclient() {
   }
   fx.engine().Run();
 
-  return Measure("fig12_multiclient", fx.engine(), [&] {
+  return Measure(fx.engine(), [&] {
     int completed = 0;
     for (int i = 0; i < kClients; ++i) {
       clients[static_cast<size_t>(i)]->FarviewRequestAsync(
@@ -160,7 +125,7 @@ Measurement RunFig12Multiclient() {
 
 /// ext_faults-style lossy reads: 2% loss, 8-packet credit window, retries
 /// enabled — the timer/retry-heavy regime.
-Measurement RunExtFaults() {
+Counts RunExtFaults() {
   constexpr uint64_t kBytes = 1 * kMiB;
   FarviewConfig cfg;
   cfg.net.credit_window_packets = 8;
@@ -173,7 +138,7 @@ Measurement RunExtFaults() {
   Result<Table> t = gen.Uniform(Schema::DefaultWideRow(), kBytes / 64, 100);
   FV_CHECK(t.ok()) << t.status().message();
   const FTable ft = fx.Upload("t", t.value());
-  return Measure("ext_faults", fx.engine(), [&] {
+  return Measure(fx.engine(), [&] {
     for (int i = 0; i < 12; ++i) {
       bool settled = false;
       fx.client().TableReadAsync(ft,
@@ -188,11 +153,10 @@ Measurement RunExtFaults() {
 /// 3 ms and restarting at 6 ms, a closed-loop reader failing over through
 /// the circuit breakers and a periodic writer forcing a resync stream on
 /// rejoin — the replication-layer event mix (DESIGN.md §12).
-Measurement RunExtFailover() {
+Counts RunExtFailover() {
   constexpr uint64_t kBytes = 1 * kMiB;
   constexpr SimTime kHorizon = 12 * kMillisecond;
   ClusterConfig cc;
-  cc.node.dram.channel_capacity = 64 * kMiB;
   cc.node.retry.enabled = true;
   cc.node.faults.enabled = true;
   cc.node.faults.node_crash_at = 3 * kMillisecond;
@@ -212,7 +176,7 @@ Measurement RunExtFailover() {
   ft.num_rows = t.value().num_rows();
   FV_CHECK(client.AllocTableMem(&ft).ok());
 
-  return Measure("ext_failover", engine, [&] {
+  return Measure(engine, [&] {
     int completed = 0;
     std::function<void()> issue_read = [&] {
       client.TableReadAsync(ft, [&](Result<FvResult> r) {
@@ -245,14 +209,13 @@ Measurement RunExtFailover() {
 /// ext_shardout-style sharded pool: four shards serving 16 closed-loop
 /// readers over hash-homed key-tables — the scatter/gather routing layer's
 /// event mix on top of four independent node stacks (DESIGN.md §13).
-Measurement RunExtShardout() {
+Counts RunExtShardout() {
   constexpr uint64_t kBytes = 256 * kKiB;
   constexpr int kTables = 8;
   constexpr int kReaders = 16;
   constexpr SimTime kHorizon = 3 * kMillisecond;
   ShardedConfig sc;
   sc.num_shards = 4;
-  sc.cluster.node.dram.channel_capacity = 128 * kMiB;
   sc.cluster.node.submission_queue_depth = 64;
 
   sim::Engine engine;
@@ -274,7 +237,7 @@ Measurement RunExtShardout() {
     FV_CHECK(client.TableWrite(fts[static_cast<size_t>(k)], t.value()).ok());
   }
 
-  return Measure("ext_shardout", engine, [&] {
+  return Measure(engine, [&] {
     Rng rng(42);
     const SimTime end = engine.Now() + kHorizon;
     int completed = 0;
@@ -302,7 +265,7 @@ Measurement RunExtShardout() {
 /// RegionScheduler with admission enabled — the token-bucket/EWMA gate and
 /// the deficit-weighted drain on every submit/dispatch, the admission
 /// layer's event mix.
-Measurement RunExtOverload() {
+Counts RunExtOverload() {
   constexpr uint64_t kVictimLen = 256 * kKiB;
   constexpr uint64_t kStormLen = 64 * kKiB;
   constexpr int kVictims = 4;
@@ -339,7 +302,7 @@ Measurement RunExtOverload() {
         .Build();
   };
 
-  // Warm-up (pipeline reconfiguration) stays outside the measured region.
+  // Warm-up (pipeline reconfiguration) stays outside the counted region.
   Result<QPair*> warm_qp = node.ConnectShared(99);
   FV_CHECK(warm_qp.ok());
   FvRequest warm;
@@ -361,7 +324,7 @@ Measurement RunExtOverload() {
     victim_qps.push_back(qp.value());
   }
 
-  return Measure("ext_overload", engine, [&] {
+  return Measure(engine, [&] {
     uint64_t settled = 0;
     FvRequest hot_req = warm;
     hot_req.slo = SloClass::kBatch;
@@ -396,9 +359,9 @@ Measurement RunExtOverload() {
 /// sessions over 8 client + 4 node domains with seeded drops — the
 /// conservative-window/mailbox/flow-aggregation event mix. Runs under
 /// `threads` workers; the event count is thread-invariant (the differential
-/// determinism suite pins this), so the 1- and 4-thread rows gate the same
-/// simulation while their wall clocks expose parallel speedup.
-Measurement RunMegaclient(int threads) {
+/// determinism suite pins this). Allocations are counted over the whole
+/// run, setup included, and at threads > 1 they come from every worker.
+Counts RunMegaclient(int threads) {
   const NetConfig net;
   MegaclientConfig cfg;
   cfg.sessions = 20000;
@@ -412,122 +375,60 @@ Measurement RunMegaclient(int threads) {
   cfg.drop_rate = 2e-3;
 
   const uint64_t allocs0 = alloc_counter::allocations();
-  const uint64_t bytes0 = alloc_counter::bytes();
-  const auto wall0 = std::chrono::steady_clock::now();
   const MegaclientReport r = farview::RunMegaclient(cfg, threads);
-  const auto wall1 = std::chrono::steady_clock::now();
-  Measurement m;
-  m.name = "megaclient";
-  m.threads = threads;
-  m.events = r.executed_events;
-  m.allocs = alloc_counter::allocations() - allocs0;
-  m.alloc_bytes = alloc_counter::bytes() - bytes0;
-  m.wall_ns = std::chrono::duration<double, std::nano>(wall1 - wall0).count();
   FV_CHECK(r.completed > 0);
-  return m;
+  return {r.executed_events, alloc_counter::allocations() - allocs0};
 }
 
-std::string JsonReport(const std::vector<Measurement>& ms) {
-  std::string out = "{\n  \"schema\": \"fv-perf-simcore-v1\",\n";
-  out += "  \"alloc_hook\": ";
-  out += alloc_counter::hook_active() ? "true" : "false";
-  out += ",\n  \"workloads\": [\n";
-  char buf[512];
-  for (size_t i = 0; i < ms.size(); ++i) {
-    const Measurement& m = ms[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"threads\": %d, \"events\": %llu, "
-        "\"wall_ns\": %.0f, "
-        "\"events_per_sec\": %.0f, \"ns_per_event\": %.1f, "
-        "\"allocs\": %llu, \"alloc_bytes\": %llu, \"allocs_per_event\": "
-        "%.3f}%s\n",
-        m.name.c_str(), m.threads, static_cast<unsigned long long>(m.events),
-        m.wall_ns, m.events_per_sec(), m.ns_per_event(),
-        static_cast<unsigned long long>(m.allocs),
-        static_cast<unsigned long long>(m.alloc_bytes), m.allocs_per_event(),
-        i + 1 < ms.size() ? "," : "");
-    out += buf;
+struct Row {
+  const char* name;
+  Counts (*run)();
+  /// The warm second run's counts: events exact, allocs an upper bound.
+  Counts committed;
+};
+
+const Row kRows[] = {
+    {"fig6_read", RunFig6Read, {39939, 38}},
+    {"fig12_multiclient", RunFig12Multiclient, {24606, 74}},
+    {"ext_faults", RunExtFaults, {40488, 379}},
+    {"ext_failover", RunExtFailover, {485553, 1558}},
+    {"ext_shardout", RunExtShardout, {423997, 7279}},
+    {"ext_overload", RunExtOverload, {56352, 2933}},
+    {"megaclient_t1", [] { return RunMegaclient(1); }, {857057, 115650}},
+    {"megaclient_t4", [] { return RunMegaclient(4); }, {857057, 115654}},
+};
+
+class SimcoreCountsTest : public testing::TestWithParam<Row> {};
+
+TEST_P(SimcoreCountsTest, WarmRunMatchesCommittedCounts) {
+  const Row& row = GetParam();
+  const Counts cold = row.run();
+  const Counts warm = row.run();
+  testing::Message measured;
+  measured << "measured {events, allocs} = {" << warm.events << ", "
+           << warm.allocs << "}";
+  EXPECT_EQ(cold.events, warm.events) << "the two runs diverged";
+  EXPECT_EQ(warm.events, row.committed.events) << measured;
+  // Under ASan the sanitizer owns operator new and nothing is counted.
+  if (alloc_counter::hook_active()) {
+    EXPECT_LE(warm.allocs, row.committed.allocs) << measured;
   }
-  out += "  ]\n}\n";
-  return out;
 }
 
-/// Best-of-N to damp scheduler noise: the fastest run is the one least
-/// perturbed by the host, and every run executes the identical event
-/// sequence (the simulator is deterministic).
-template <typename Fn>
-Measurement BestOf(int n, Fn run) {
-  Measurement best = run();
-  for (int i = 1; i < n; ++i) {
-    Measurement m = run();
-    if (m.wall_ns < best.wall_ns) best = m;
-  }
-  return best;
-}
+INSTANTIATE_TEST_SUITE_P(
+    Rows, SimcoreCountsTest, testing::ValuesIn(kRows),
+    [](const testing::TestParamInfo<Row>& p) { return p.param.name; });
 
-/// True when `name` is selected by the FV_BENCH_ONLY filter (comma-free
-/// substring match; unset/empty selects everything). With FV_BENCH_REPS the
-/// harness takes best-of-N (default 3) — both knobs exist so a profiler run
-/// can isolate and repeat one workload.
-bool Selected(const char* name) {
-  const char* only = std::getenv("FV_BENCH_ONLY");
-  if (only == nullptr || only[0] == '\0') return true;
-  return std::string(name).find(only) != std::string::npos;
-}
-
-int Reps() {
-  const char* reps = std::getenv("FV_BENCH_REPS");
-  const int n = reps != nullptr ? std::atoi(reps) : 0;
-  return n > 0 ? n : 3;
-}
-
-void Run() {
-  std::vector<Measurement> ms;
-  const int reps = Reps();
-  if (Selected("fig6_read")) ms.push_back(BestOf(reps, RunFig6Read));
-  if (Selected("fig12_multiclient")) {
-    ms.push_back(BestOf(reps, RunFig12Multiclient));
-  }
-  if (Selected("ext_faults")) ms.push_back(BestOf(reps, RunExtFaults));
-  if (Selected("ext_failover")) ms.push_back(BestOf(reps, RunExtFailover));
-  if (Selected("ext_shardout")) ms.push_back(BestOf(reps, RunExtShardout));
-  if (Selected("ext_overload")) ms.push_back(BestOf(reps, RunExtOverload));
-  if (Selected("megaclient")) {
-    ms.push_back(BestOf(reps, [] { return RunMegaclient(1); }));
-    ms.push_back(BestOf(reps, [] { return RunMegaclient(4); }));
-  }
-
-  std::printf("Simulator core performance (wall clock; machine-dependent)\n");
-  std::printf("%-20s %3s %12s %10s %12s %10s %12s\n", "workload", "thr",
-              "events", "wall ms", "events/sec", "ns/event", "allocs/evt");
-  for (const Measurement& m : ms) {
-    std::printf("%-20s %3d %12llu %10.1f %12.0f %10.1f %12.3f\n",
-                m.name.c_str(), m.threads,
-                static_cast<unsigned long long>(m.events), m.wall_ns / 1e6,
-                m.events_per_sec(), m.ns_per_event(), m.allocs_per_event());
-  }
+// The allocation counters are bumped from every thread that allocates, so
+// a 4-worker megaclient run must count the same total every time.
+TEST(AllocCounterTest, ParallelRunCountsEveryAllocation) {
   if (!alloc_counter::hook_active()) {
-    std::printf("(allocation hook inactive — allocs/evt not measured)\n");
+    GTEST_SKIP() << "counting operator new hook not active in this binary";
   }
-
-  const char* path = std::getenv("FV_BENCH_JSON");
-  std::string out_path = path != nullptr ? path : "BENCH_simcore.new.json";
-  if (out_path != "-") {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f != nullptr) {
-      const std::string json = JsonReport(ms);
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", out_path.c_str());
-    }
-  }
+  const Counts first = RunMegaclient(4);
+  const Counts second = RunMegaclient(4);
+  EXPECT_EQ(first.allocs, second.allocs);
 }
 
 }  // namespace
 }  // namespace farview
-
-int main() {
-  farview::Run();
-  return 0;
-}

@@ -39,10 +39,7 @@ const std::vector<std::string>& AllRuleNames() {
 
 std::vector<std::string> Options::DefaultWallClockAllowlist() {
   return {
-      "bench/perf_simcore.cc",          // wall-clock perf harness by design
       "bench/ext_megaclient.cc",        // stderr-only speedup section
-      "src/common/alloc_counter.cc",    // alloc accounting (host-side only)
-      "src/common/alloc_counter_hook.cc",
       "tools/fvcheck/fvcheck_main.cc",  // --timings instrumentation (host tool)
   };
 }

@@ -67,9 +67,9 @@ struct FileInput {
 /// Analysis configuration.
 struct Options {
   /// Repo-relative files allowed to use wall-clock APIs. The default is the
-  /// project's complete, closed set: the wall-clock perf harness and the
-  /// allocation-counter hook (tests/fvcheck self-check pins that these stay
-  /// the only users).
+  /// project's complete, closed set: ext_megaclient's stderr speedup
+  /// section and fvcheck's --timings (the fvcheck_test tree self-check
+  /// pins that these stay the only users).
   std::vector<std::string> wall_clock_allowlist = DefaultWallClockAllowlist();
 
   /// Repo-relative path prefixes allowed to use raw threading primitives

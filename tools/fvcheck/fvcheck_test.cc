@@ -125,9 +125,9 @@ TEST(BannedApiTest, ExceptionsAllowedOutsideSrc) {
 
 TEST(BannedApiTest, WallClockAllowlistSkipsWallClockOnly) {
   Options opts;
-  opts.wall_clock_allowlist = {"bench/perf_simcore.cc"};
+  opts.wall_clock_allowlist = {"bench/wall_clock_user.cc"};
   auto diags =
-      AnalyzeFixture("banned_api_bad.cc", "bench/perf_simcore.cc", opts);
+      AnalyzeFixture("banned_api_bad.cc", "bench/wall_clock_user.cc", opts);
   for (const auto& d : diags) {
     EXPECT_EQ(d.message.find("wall-clock"), std::string::npos) << d.message;
   }
@@ -297,14 +297,14 @@ TEST(TreeSelfCheckTest, AllowlistedFilesAreTheOnlyWallClockUsers) {
   }
   // The detector provably sees the known users (guards against the check
   // rotting into a vacuous pass).
-  EXPECT_EQ(wall_clock_users.count("bench/perf_simcore.cc"), 1u);
   EXPECT_EQ(wall_clock_users.count("bench/ext_megaclient.cc"), 1u);
 }
 
 // Threading-ban self-check (DESIGN.md §14): with the allowlist emptied and
 // suppressions audited through, every threading finding in the real tree
-// must land under src/sim/parallel/ — or in src/common/logging.cc, whose
-// single log-level atomic carries a named inline suppression. Nobody can
+// must land under src/sim/parallel/ — or in src/common/logging.cc and
+// src/common/alloc_counter.cc, whose relaxed atomics (the log level and the
+// allocation counters) carry named inline suppressions. Nobody can
 // sneak a mutex into the simulation without editing the allowlist or this
 // test.
 TEST(TreeSelfCheckTest, ParallelCoreIsTheOnlyThreadingUser) {
@@ -332,7 +332,8 @@ TEST(TreeSelfCheckTest, ParallelCoreIsTheOnlyThreadingUser) {
     }
   }
 
-  const std::set<std::string> suppressed_ok = {"src/common/logging.cc"};
+  const std::set<std::string> suppressed_ok = {
+      "src/common/logging.cc", "src/common/alloc_counter.cc"};
   for (const std::string& user : threading_users) {
     EXPECT_TRUE(user.rfind("src/sim/parallel/", 0) == 0 ||
                 user.rfind("tools/fvcheck/", 0) == 0 ||  // --jobs worker pool
@@ -342,10 +343,11 @@ TEST(TreeSelfCheckTest, ParallelCoreIsTheOnlyThreadingUser) {
         << "carrier";
   }
   // Non-vacuous: the detector provably sees the parallel core, fvcheck's
-  // own worker pool, and the suppressed one-off.
+  // own worker pool, and the suppressed one-offs.
   EXPECT_EQ(threading_users.count("src/sim/parallel/partition.h"), 1u);
   EXPECT_EQ(threading_users.count("tools/fvcheck/checks.cc"), 1u);
   EXPECT_EQ(threading_users.count("src/common/logging.cc"), 1u);
+  EXPECT_EQ(threading_users.count("src/common/alloc_counter.cc"), 1u);
 }
 
 // Satellite spot check (ISSUE 5): the replication layer is where a
